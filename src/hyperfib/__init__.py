@@ -24,21 +24,16 @@ from .exact_linalg import (
 )
 from .cassini import (
     SecondOrderPair,
-    SignCase,
-    SignReport,
     Window,
     build_window,
     cassini_det,
     general_cassini,
     predicted_sign,
     shifted_fib_det,
-    sign_sweep,
     zero_det_check,
 )
 from .qmatrix import (
     QMatrix,
-    StateVector,
-    advance,
     build_q,
     infer_recurrence,
     q_closed_tail,
@@ -56,13 +51,9 @@ __all__ = [
     "Polynomial",
     "QMatrix",
     "SecondOrderPair",
-    "SignCase",
-    "SignReport",
-    "StateVector",
     "Strategy",
     "VerifyReport",
     "Window",
-    "advance",
     "adjugate_inverse",
     "binomial_poly",
     "build_q",
@@ -82,7 +73,6 @@ __all__ = [
     "reconstruct",
     "sequence",
     "shifted_fib_det",
-    "sign_sweep",
     "verify_all",
     "zero_det_check",
 ]

@@ -10,6 +10,7 @@ Cassini identity; for m > r+2 the determinant vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exact_linalg import IntMatrix, det
 from .sequences import fibonacci, sequence
@@ -31,9 +32,12 @@ def build_window(m: int, n: int, r: int) -> Window:
         raise ValueError("window size must be >= 1")
     if r < 0:
         raise ValueError("generation must be >= 0")
-    terms = sequence(r).terms(n, n + 2 * m - 1)
-    entries = tuple(terms[i + j] for i in range(m) for j in range(m))
-    return Window(m, n, r, IntMatrix(m, m, entries))
+    return Window(m, n, r, hankel(sequence(r).terms(n, n + 2 * m - 1), m))
+
+
+def hankel(terms: Sequence[int], m: int) -> IntMatrix:
+    """The m x m Hankel matrix M[i][j] = terms[i+j] of the first 2m-1 terms."""
+    return IntMatrix(m, m, tuple(terms[i + j] for i in range(m) for j in range(m)))
 
 
 def predicted_sign(r: int, n: int) -> int:
@@ -93,44 +97,3 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
     lhs = a_cur * b_prev - a_prev * b_cur
     rhs = (-pair.beta) ** (m - 1) * (pair.a1 * pair.b0 - pair.a0 * pair.b1)
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class SignCase:
-    """One determinant checked against its predicted sign."""
-
-    r: int
-    n: int
-    determinant: int
-    predicted: int
-
-    @property
-    def ok(self) -> bool:
-        return self.determinant == self.predicted
-
-
-@dataclass(frozen=True)
-class SignReport:
-    r_range: tuple[int, int]
-    n_range: tuple[int, int]
-    cases: tuple[SignCase, ...]
-
-    @property
-    def failures(self) -> tuple[SignCase, ...]:
-        return tuple(c for c in self.cases if not c.ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
-
-def sign_sweep(r_min: int, r_max: int, n_min: int, n_max: int) -> SignReport:
-    """Check det == predicted sign over the full (r, n) grid (ends inclusive)."""
-    if r_min < 1:
-        raise ValueError("sweep starts at generation 1")
-    cases = tuple(
-        SignCase(r, n, cassini_det(r, n), predicted_sign(r, n))
-        for r in range(r_min, r_max + 1)
-        for n in range(n_min, n_max + 1)
-    )
-    return SignReport((r_min, r_max), (n_min, n_max), cases)

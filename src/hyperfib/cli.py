@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: term, seq, qmatrix, hankel, det, verify, bench.  Values are
-arbitrary-precision, so JSON output renders them as decimal strings.  Exit
-codes: 0 success, 1 verification failure, 2 usage or input error.
+arbitrary-precision, so JSON output renders them as decimal strings.  Every
+value goes through ``to_decimal``, which leaves the interpreter's int/str
+digit limit alone.  Exit codes: 0 success, 1 verification failure, 2 usage
+or input error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 
 from . import verify as verification
 from .cassini import build_window
-from .exact_linalg import IntMatrix, det
+from .exact_linalg import IntMatrix, det, to_decimal
 from .qmatrix import build_q, q_closed_tail
 from .sequences import Strategy, hyperfib, sequence
 
@@ -32,13 +34,13 @@ def _emit_json(payload: dict) -> None:
 
 
 def _matrix_strings(matrix: IntMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in matrix.to_rows()]
+    return [[to_decimal(x) for x in row] for row in matrix.to_rows()]
 
 
 def _print_matrix(matrix: IntMatrix, fmt: OutputFormat) -> None:
     sep = "," if fmt is OutputFormat.CSV else " "
     for row in matrix.to_rows():
-        print(sep.join(str(x) for x in row))
+        print(sep.join(to_decimal(x) for x in row))
 
 
 def _style(text: str, ok: bool) -> str:
@@ -52,9 +54,9 @@ def cmd_term(args) -> int:
     value = hyperfib(args.r, args.n, Strategy(args.strategy))
     fmt = OutputFormat(args.format)
     if fmt is OutputFormat.JSON:
-        _emit_json({"r": args.r, "n": args.n, "value": str(value)})
+        _emit_json({"r": args.r, "n": args.n, "value": to_decimal(value)})
     else:
-        print(value)
+        print(to_decimal(value))
     return 0
 
 
@@ -68,12 +70,12 @@ def cmd_seq(args) -> int:
             "r": args.r,
             "from": args.n_from,
             "to": args.n_to,
-            "values": [str(v) for v in values],
+            "values": [to_decimal(v) for v in values],
         })
     else:
         sep = "," if fmt is OutputFormat.CSV else " "
         for n, v in zip(range(args.n_from, args.n_to + 1), values):
-            print(f"{n}{sep}{v}")
+            print(f"{n}{sep}{to_decimal(v)}")
     return 0
 
 
@@ -84,23 +86,23 @@ def cmd_qmatrix(args) -> int:
     if fmt is OutputFormat.JSON:
         payload = {
             "r": args.r,
-            "q": [str(x) for x in qm.q],
+            "q": [to_decimal(x) for x in qm.q],
             "matrix": _matrix_strings(qm.matrix),
         }
         if args.verbose and tail is not None:
-            payload["closed_tail"] = [str(x) for x in tail]
+            payload["closed_tail"] = [to_decimal(x) for x in tail]
         _emit_json(payload)
         return 0
     _print_matrix(qm.matrix, fmt)
     if args.verbose:
-        print("q: " + " ".join(str(x) for x in qm.q))
+        print("q: " + " ".join(to_decimal(x) for x in qm.q))
         if tail is None:
             print("closed tail: undefined for r = 0")
         else:
             agrees = tail == qm.q[-3:]
             print(
                 "closed tail (q_r, q_r+1, q_r+2): "
-                + " ".join(str(x) for x in tail)
+                + " ".join(to_decimal(x) for x in tail)
                 + (" [matches]" if agrees else " [MISMATCH]")
             )
     return 0
@@ -123,7 +125,7 @@ def cmd_hankel(args) -> int:
 
 def cmd_det(args) -> int:
     window = build_window(args.m, args.n, args.r)
-    print(det(window.matrix, method=args.method))
+    print(to_decimal(det(window.matrix, method=args.method)))
     return 0
 
 
@@ -178,7 +180,7 @@ def cmd_bench(args) -> int:
             )
             return 1
         rows.append((strat.value, times))
-    print(f"value: {value}")
+    print(f"value: {to_decimal(value)}")
     for name, times in rows:
         print(
             f"{name}: best {min(times):.6f}s, "
@@ -295,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # terms grow to tens of thousands of digits; lift the int-to-str cap
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,6 +22,40 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+_PIECE = 512   # digits; str() never consults the digit limit below 640
+_PIECE_BASE = 10**_PIECE
+
+
+def to_decimal(value: int) -> str:
+    """Decimal text of an int of any size.
+
+    str() refuses ints longer than sys.get_int_max_str_digits() digits (4300
+    by default).  This splits on powers of ten into pieces shorter than 640
+    digits, the least limit the interpreter accepts, so it works under every
+    setting of the limit and changes none.
+    """
+    if value < 0:
+        return "-" + to_decimal(-value)
+    if value < _PIECE_BASE:
+        return str(value)
+    powers = [_PIECE_BASE]   # powers[i] = 10**(_PIECE * 2**i)
+    while 2 * powers[-1].bit_length() - 1 <= value.bit_length():
+        powers.append(powers[-1] * powers[-1])
+    return _decimal_pieces(value, powers, len(powers) - 1, False)
+
+
+def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str:
+    # value < powers[level]**2; pad zero-fills to that bound's full width
+    if level < 0:
+        text = str(value)
+        return text.zfill(_PIECE) if pad else text
+    high, low = divmod(value, powers[level])
+    if not (pad or high):
+        return _decimal_pieces(low, powers, level - 1, False)
+    return (_decimal_pieces(high, powers, level - 1, pad)
+            + _decimal_pieces(low, powers, level - 1, True))
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable row-major matrix of integers."""
@@ -297,10 +331,10 @@ class Polynomial:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if k == 0:
-                body = str(mag)
+                body = to_decimal(mag)
             else:
                 xk = "x" if k == 1 else f"x^{k}"
-                body = xk if mag == 1 else f"{mag}*{xk}"
+                body = xk if mag == 1 else f"{to_decimal(mag)}*{xk}"
             parts.append((sign, body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body

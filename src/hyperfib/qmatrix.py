@@ -31,20 +31,6 @@ class QMatrix:
     matrix: IntMatrix
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Window (F(n), ..., F(n+r+1)) of generation-r terms as a column state."""
-
-    r: int
-    n: int
-    values: tuple[int, ...]
-
-    @classmethod
-    def at(cls, r: int, n: int) -> "StateVector":
-        values = tuple(sequence(r).terms(n, n + r + 2))
-        return cls(r, n, values)
-
-
 def build_q(r: int) -> QMatrix:
     """Companion matrix of generation r via triangular back-substitution.
 
@@ -55,14 +41,12 @@ def build_q(r: int) -> QMatrix:
     """
     if r < 0:
         raise ValueError("generation must be >= 0")
-    seq = sequence(r)
+    f = sequence(r).terms(0, r + 4)
     k = r + 2
     q = [0] * (k + 1)   # 1-indexed
-    q[k] = seq.term(2)
+    q[k] = f[2]
     for j in range(k - 1, 0, -1):
-        q[j] = seq.term(k + 2 - j) - sum(
-            seq.term(i - j + 1) * q[i] for i in range(j + 1, k + 1)
-        )
+        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
     weights = tuple(q[1:])
     entries = []
     for i in range(k - 1):
@@ -80,15 +64,6 @@ def q_closed_tail(r: int) -> tuple[int, int, int]:
     if r < 1:
         raise ValueError("closed tail needs r >= 1")
     return _exact_div(r**3 - 7 * r, 6), 1 - comb(r + 1, 2), 1 + r
-
-
-def advance(q: QMatrix, s: StateVector) -> StateVector:
-    """One index step: multiply the state by the companion matrix."""
-    if q.r != s.r:
-        raise ValueError(f"generation mismatch: matrix r={q.r}, state r={s.r}")
-    column = IntMatrix(len(s.values), 1, s.values)
-    stepped = mat_mul(q.matrix, column)
-    return StateVector(s.r, s.n + 1, stepped.entries)
 
 
 def reconstruct(r: int, n: int) -> IntMatrix:

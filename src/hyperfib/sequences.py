@@ -7,15 +7,24 @@ the inhomogeneous recurrence
     F(n+2) = F(n+1) + F(n) + C(n+r, r-1)
 
 whose correction term is a polytopic (figurate) number; running it backward
-extends every generation to negative indices.  Three independent evaluation
-strategies are provided and agree wherever they are defined, which the test
-suite uses as a cross-check.  All arithmetic is plain Python int, so results
-are exact at any size.
+extends every generation to negative indices.
+
+The paper proves that generation r has characteristic polynomial
+(x^2 - x - 1)(x - 1)^r.  Splitting the generating function
+x / ((1 - x - x^2)(1 - x)^r) into partial fractions along it gives
+
+    F_r(n) = F(n+2r) - sum_{j=0..r-1} F(2j+1) * C(n+r-1-j, r-1-j)
+
+for every integer n, with C the polynomial binomial and F by fast doubling
+(D. Takahashi, "A fast algorithm for computing large Fibonacci numbers",
+IPL 75, 2000).  ``HyperfibSequence`` seeds runs of terms from it and keeps
+no cache.  Three independent evaluation strategies are provided and agree
+wherever they are defined, which the test suite uses as a cross-check.  All
+arithmetic is plain Python int, so results are exact at any size.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 
 
@@ -27,20 +36,27 @@ class Strategy(Enum):
     MATRIX_POWER = "matpow"     # companion-matrix power
 
 
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) for any integer n, by fast doubling."""
+    if n < 0:
+        # negafibonacci: F_{-k} = (-1)^(k+1) * F_k
+        a, b = _fib_pair(-n - 1)    # F_{-n-1}, F_{-n}
+        return (b, -a) if n % 2 else (-b, a)
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b    # F_{2k}, F_{2k+1}
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
 def fibonacci(n: int) -> int:
     """F_n for any integer n, with F_0 = 0 and F_1 = 1.
 
-    Negative indices run the recurrence backward, F_n = F_{n+2} - F_{n+1},
-    which reproduces the negafibonacci values (-1)^(n+1) * F_{-n}.
+    Fast doubling takes O(log |n|) multiplications; negative indices follow
+    the negafibonacci rule F_{-n} = (-1)^(n+1) * F_n.
     """
-    a, b = 0, 1
-    if n >= 0:
-        for _ in range(n):
-            a, b = b, a + b
-        return a
-    for _ in range(-n):
-        a, b = b - a, a
-    return a
+    return _fib_pair(n)[0]
 
 
 def binomial_poly(t: int, k: int) -> int:
@@ -66,63 +82,61 @@ def polytopic(r: int, n: int) -> int:
 
 
 class HyperfibSequence:
-    """Generation-r terms with a transparent two-sided memo.
+    """Generation-r terms from the closed form; nothing is cached.
 
-    The cache is an optimization only: ``term`` returns the same values as
-    the uncached strategy evaluators.  Cache extension happens under a lock,
-    so concurrent first computations are idempotent; reads of already-filled
-    indices need no lock because the lists only grow.
+    ``term(n)`` evaluates the closed form of the module docstring.
+    ``terms(start, stop)`` seeds the pair F_r(start), F_r(start+1) from it in
+    O(r) operations, then runs the inhomogeneous recurrence forward with the
+    correction C(k+r, r-1) carried in O(1) per step.  An instance holds only
+    r, so instances and threads share no state.
     """
 
     def __init__(self, r: int):
         if r < 0:
             raise ValueError("generation must be >= 0")
         self.r = r
-        self._fwd = [0, 1]            # terms 0, 1, 2, ...
-        self._bwd: list[int] = []     # terms -1, -2, ...
-        self._lock = threading.Lock()
 
-    def _correction(self, n: int) -> int:
-        # the inhomogeneous term C(n+r, r-1); zero for plain Fibonacci
-        if self.r == 0:
-            return 0
-        return binomial_poly(n + self.r, self.r - 1)
+    def _seed(self, n: int) -> tuple[int, int]:
+        # F_r(n) and F_r(n+1) by the closed form.  Term i of the sum pairs
+        # F(2j+1), j = r-1-i, stepped down from a running (even, odd) pair,
+        # with C(n+i, i) = C(n+i-1, i-1) * (n+i) / i, an exact step.
+        r = self.r
+        f0, f1 = _fib_pair(n + 2 * r)
+        even, odd = _fib_pair(2 * r - 2)    # F(2j), F(2j+1) at j = r-1
+        c0 = c1 = 1                         # C(n+i, i), C(n+1+i, i)
+        for i in range(r):
+            if i:
+                c0 = c0 * (n + i) // i
+                c1 = c1 * (n + 1 + i) // i
+            f0 -= odd * c0
+            f1 -= odd * c1
+            even, odd = 2 * even - odd, odd - even
+        return f0, f1
 
     def term(self, n: int) -> int:
-        if n >= 0:
-            fwd = self._fwd
-            if n >= len(fwd):
-                with self._lock:
-                    while n >= len(fwd):
-                        k = len(fwd)
-                        fwd.append(fwd[k - 1] + fwd[k - 2] + self._correction(k - 2))
-            return fwd[n]
-        bwd = self._bwd
-        idx = -n - 1
-        if idx >= len(bwd):
-            with self._lock:
-                while idx >= len(bwd):
-                    m = -len(bwd) - 1   # index being produced
-                    t1 = self._fwd[m + 1] if m + 1 >= 0 else bwd[-(m + 1) - 1]
-                    t2 = self._fwd[m + 2] if m + 2 >= 0 else bwd[-(m + 2) - 1]
-                    bwd.append(t2 - t1 - self._correction(m))
-        return bwd[idx]
+        return self._seed(n)[0]
 
     def terms(self, start: int, stop: int) -> list[int]:
         """Terms for indices start..stop-1 (half-open, like range)."""
-        return [self.term(n) for n in range(start, stop)]
-
-
-_shared: dict[int, HyperfibSequence] = {}
+        r = self.r
+        a, b = self._seed(start)
+        c = binomial_poly(start + r, r - 1) if r else 0   # C(k+r, r-1) at k = start
+        out = []
+        for k in range(start, stop):
+            out.append(a)
+            a, b = b, a + b + c
+            # C(k+1+r, r-1) = C(k+r, r-1) * (k+r+1) / (k+2) exactly; at
+            # k = -2 the factor is undefined and the next value is C(r-1, r-1)
+            if k != -2:
+                c = c * (k + r + 1) // (k + 2)
+            elif r:
+                c = 1
+        return out
 
 
 def sequence(r: int) -> HyperfibSequence:
-    """Shared memoized sequence for generation r."""
-    seq = _shared.get(r)
-    if seq is None:
-        # setdefault keeps racing creators idempotent
-        seq = _shared.setdefault(r, HyperfibSequence(r))
-    return seq
+    """The generation-r term source; it keeps no state between calls."""
+    return HyperfibSequence(r)
 
 
 def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
@@ -157,8 +171,8 @@ def _prefix_sum(r: int, n: int) -> int:
 
 
 def _recurrence(r: int, n: int) -> int:
-    # rolling two-term window, O(1) memory; the memoized path lives in
-    # HyperfibSequence
+    # rolling two-term window, O(1) memory; the tests hold the closed form
+    # in HyperfibSequence against it
     if n >= 0:
         a, b = 0, 1
         for k in range(n):

@@ -13,10 +13,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cassini import SecondOrderPair, general_cassini, sign_sweep, zero_det_check
-from .exact_linalg import Polynomial, char_poly, det
+from .cassini import SecondOrderPair, general_cassini, hankel, predicted_sign
+from .exact_linalg import Polynomial, char_poly, det, to_decimal
 from .qmatrix import build_q
-from .sequences import Strategy, hyperfib
+from .sequences import Strategy, hyperfib, sequence
 
 DEFAULT_SEED = 1729
 
@@ -40,13 +40,24 @@ class VerifyReport:
         return not self.failures
 
 
+def _windows(r, sizes, n_min, n_max):
+    # (m, n, matrix) for every window size and start of generation r, all
+    # cut from one run of terms
+    run = sequence(r).terms(n_min, n_max + 2 * sizes[-1] - 1)
+    for m in sizes:
+        for i, n in enumerate(range(n_min, n_max + 1)):
+            yield m, n, hankel(run[i:i + 2 * m - 1], m)
+
+
 def _suite_cassini(r_max, n_min, n_max, rng):
-    report = sign_sweep(1, r_max, n_min, n_max)
-    failures = [
-        Failure(f"r={c.r} n={c.n}", str(c.determinant), str(c.predicted))
-        for c in report.failures
-    ]
-    return len(report.cases), failures
+    cases, failures = 0, []
+    for r in range(1, r_max + 1):
+        for _, n, window in _windows(r, range(r + 2, r + 3), n_min, n_max):
+            d, predicted = det(window), predicted_sign(r, n)
+            cases += 1
+            if d != predicted:
+                failures.append(Failure(f"r={r} n={n}", to_decimal(d), to_decimal(predicted)))
+    return cases, failures
 
 
 def _suite_qdet(r_max, n_min, n_max, rng):
@@ -55,19 +66,18 @@ def _suite_qdet(r_max, n_min, n_max, rng):
         d = det(build_q(r).matrix)
         cases += 1
         if d != -1:
-            failures.append(Failure(f"r={r}", str(d), "-1"))
+            failures.append(Failure(f"r={r}", to_decimal(d), "-1"))
     return cases, failures
 
 
 def _suite_zero(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(0, r_max + 1):
-        for m in range(r + 3, r + 7):
-            for n in range(n_min, n_max + 1):
-                d = zero_det_check(m, n, r)
-                cases += 1
-                if d != 0:
-                    failures.append(Failure(f"m={m} n={n} r={r}", str(d), "0"))
+        for m, n, window in _windows(r, range(r + 3, r + 7), n_min, n_max):
+            d = det(window)
+            cases += 1
+            if d != 0:
+                failures.append(Failure(f"m={m} n={n} r={r}", to_decimal(d), "0"))
     return cases, failures
 
 
@@ -84,7 +94,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
                 value = hyperfib(r, n, strat)
                 if value != reference:
                     failures.append(Failure(
-                        f"r={r} n={n} {strat.value}", str(value), str(reference)
+                        f"r={r} n={n} {strat.value}", to_decimal(value), to_decimal(reference)
                     ))
     return cases, failures
 
@@ -97,7 +107,7 @@ def _suite_general(r_max, n_min, n_max, rng):
             lhs, rhs = general_cassini(pair, m)
             cases += 1
             if lhs != rhs:
-                failures.append(Failure(f"{pair} m={m}", str(lhs), str(rhs)))
+                failures.append(Failure(f"{pair} m={m}", to_decimal(lhs), to_decimal(rhs)))
     return cases, failures
 
 

@@ -10,7 +10,6 @@ from hyperfib.cassini import (
     general_cassini,
     predicted_sign,
     shifted_fib_det,
-    sign_sweep,
     zero_det_check,
 )
 from hyperfib.exact_linalg import det
@@ -79,15 +78,6 @@ class TestCassiniDet:
     def test_classical_two_by_two(self):
         # F_1 F_3 - F_2^2 = 2 - 1
         assert cassini_det(0, 1) == 1
-
-    def test_sweep_matches_prediction(self):
-        report = sign_sweep(1, 4, -6, 15)
-        assert report.all_ok
-        assert len(report.cases) == 4 * 22
-
-    def test_sweep_rejects_generation_zero(self):
-        with pytest.raises(ValueError):
-            sign_sweep(0, 3, 0, 5)
 
     def test_classical_cassini_identity(self):
         for n in range(1, 101):
@@ -169,3 +159,9 @@ class TestReconstructionDeterminant:
             base = det(build_window(r + 2, 0, r).matrix)
             for n in (-5, -2, 0, 1, 4, 9):
                 assert det(reconstruct(r, n)) == _parity_sign(n) * base, (r, n)
+
+    @pytest.mark.parametrize("r", [1, 5, 12])
+    @pytest.mark.parametrize("n", [-20_000, 20_000])
+    def test_closed_form_window_equals_power_route(self, r, n):
+        # the closed-form seed far from 0 against Q^n times the window at 0
+        assert build_window(r + 2, n, r).matrix == reconstruct(r, n)

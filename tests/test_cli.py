@@ -1,11 +1,12 @@
 import json
+import sys
 
 import pytest
 
 import hyperfib.cli as cli
 import hyperfib.verify as verification
 from hyperfib.cli import main
-from hyperfib.sequences import Strategy, fibonacci
+from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
 
 
@@ -13,6 +14,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run the test under the interpreter's default int/str digit limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.int_info.default_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def parse_decimal(text):
+    # in pieces short enough for any digit limit, so the check needs none lifted
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 500):
+        piece = digits[i:i + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
 
 
 class TestTerm:
@@ -56,6 +80,21 @@ class TestTerm:
     def test_rejects_negative_generation(self, capsys):
         code, _, _ = run(capsys, "term", "--r", "-1", "--n", "3")
         assert code == 2
+
+    def test_prints_past_the_digit_limit(self, capsys, default_digit_limit):
+        code, out, err = run(capsys, "term", "--r", "3", "--n", "100000")
+        assert code == 0 and err == ""
+        text = out.rstrip("\n")
+        assert len(text) > 4 * default_digit_limit
+        assert parse_decimal(text) == hyperfib(3, 100_000, Strategy.MATRIX_POWER)
+
+    def test_leaves_the_digit_limit_alone(self, capsys):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("interpreter has no int/str digit limit")
+        before = sys.get_int_max_str_digits()
+        run(capsys, "term", "--r", "0", "--n", "50000")
+        run(capsys, "verify", "--r-max", "1", "--n-min", "0", "--n-max", "1")
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestSeq:
@@ -198,6 +237,24 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL:" in out
         assert "computed 0, expected -1" in out
+
+    def test_huge_crosscheck_mismatch_is_reported(self, capsys, monkeypatch,
+                                                 default_digit_limit):
+        big = -(7 * 10**5_200 + 3)
+        actual = verification.hyperfib
+
+        def rigged(r, n, strategy=Strategy.RECURRENCE):
+            if strategy is Strategy.MATRIX_POWER:
+                return big
+            return actual(r, n, strategy)
+
+        monkeypatch.setattr(verification, "hyperfib", rigged)
+        code, out, err = run(capsys, "verify", "--r-max", "1", "--n-min", "0",
+                             "--n-max", "0", "--suite", "crosscheck")
+        assert code == 1 and err == ""
+        assert out.splitlines()[-1].startswith("FAIL:")
+        computed = out.split("computed ")[1].split(",")[0]
+        assert parse_decimal(computed) == big
 
 
 class TestBenchCommand:

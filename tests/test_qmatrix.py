@@ -6,8 +6,6 @@ from hyperfib.cassini import build_window
 from hyperfib.exact_linalg import IntMatrix, det
 from hyperfib.qmatrix import (
     QMatrix,
-    StateVector,
-    advance,
     build_q,
     infer_recurrence,
     q_closed_tail,
@@ -68,35 +66,6 @@ class TestClosedTail:
     def test_undefined_at_zero(self):
         with pytest.raises(ValueError):
             q_closed_tail(0)
-
-
-class TestAdvance:
-    def test_worked_step(self):
-        stepped = advance(build_q(2), StateVector(2, 0, (0, 1, 3, 7)))
-        assert stepped == StateVector(2, 1, (1, 3, 7, 14))
-
-    def test_fibonacci_step(self):
-        assert advance(build_q(0), StateVector(0, 0, (0, 1))).values == (1, 1)
-
-    def test_backward_extended_state(self):
-        stepped = advance(build_q(2), StateVector(2, -2, (0, 0, 0, 1)))
-        assert stepped.values == (0, 0, 1, 3)
-
-    def test_generation_mismatch(self):
-        with pytest.raises(ValueError):
-            advance(build_q(1), StateVector(2, 0, (0, 1, 3, 7)))
-
-    def test_state_constructor(self):
-        assert StateVector.at(2, 0).values == (0, 1, 3, 7)
-        assert StateVector.at(2, -2).values == (0, 0, 0, 1)
-
-    @pytest.mark.parametrize("r", range(0, 4))
-    def test_iterated_advance_reaches_state(self, r):
-        qm = build_q(r)
-        state = StateVector.at(r, 0)
-        for n in range(1, 25):
-            state = advance(qm, state)
-            assert state == StateVector.at(r, n)
 
 
 class TestReconstruct:

@@ -33,6 +33,10 @@ class TestFibonacci:
     def test_negafibonacci_oracle(self, n):
         assert fibonacci(-n) == (-1) ** (n + 1) * fibonacci(n)
 
+    def test_doubling_matches_recurrence(self):
+        expected = [hyperfib(0, n, Strategy.RECURRENCE) for n in range(-3000, 3001)]
+        assert [fibonacci(n) for n in range(-3000, 3001)] == expected
+
 
 class TestBinomialPoly:
     def test_ordinary(self):
@@ -167,15 +171,20 @@ class TestHyperfibSequence:
         seq = HyperfibSequence(3)
         for n in range(-12, 40):
             assert seq.term(n) == hyperfib(3, n, Strategy.RECURRENCE)
-        # repeated reads hit the memo and stay identical
         for n in range(-12, 40):
             assert seq.term(n) == hyperfib(3, n, Strategy.RECURRENCE)
 
     def test_terms_range(self):
         assert HyperfibSequence(1).terms(-3, 6) == [0, -1, 0, 0, 1, 2, 4, 7, 12]
 
-    def test_shared_instance(self):
-        assert sequence(4) is sequence(4)
+    @given(st.integers(0, 24), st.integers(-400, 400), st.integers(0, 40))
+    @settings(max_examples=150)
+    def test_terms_match_recurrence(self, r, start, length):
+        # runs may be empty, cross the zero run at -r..0, or step through
+        # k = -2, where the carried correction restarts
+        assert sequence(r).terms(start, start + length) == [
+            hyperfib(r, k, Strategy.RECURRENCE) for k in range(start, start + length)
+        ]
 
     def test_concurrent_first_computation(self):
         seq = HyperfibSequence(2)
