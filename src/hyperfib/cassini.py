@@ -16,23 +16,13 @@ from .exact_linalg import IntMatrix, det
 from .sequences import fibonacci, sequence
 
 
-@dataclass(frozen=True)
-class Window:
-    """Size-m Hankel window of generation-r terms starting at index n."""
-
-    m: int
-    n: int
-    r: int
-    matrix: IntMatrix
-
-
-def build_window(m: int, n: int, r: int) -> Window:
-    """Fill the m x m Hankel window from 2m-1 consecutive terms."""
+def build_window(m: int, n: int, r: int) -> IntMatrix:
+    """The m x m Hankel window of generation r at n, from 2m-1 consecutive terms."""
     if m < 1:
         raise ValueError("window size must be >= 1")
     if r < 0:
         raise ValueError("generation must be >= 0")
-    return Window(m, n, r, hankel(sequence(r).terms(n, n + 2 * m - 1), m))
+    return hankel(sequence(r).terms(n, n + 2 * m - 1), m)
 
 
 def hankel(terms: Sequence[int], m: int) -> IntMatrix:
@@ -51,7 +41,7 @@ def cassini_det(r: int, n: int) -> int:
     """Determinant of the (r+2)-window at n, by fraction-free elimination."""
     if r < 0:
         raise ValueError("generation must be >= 0")
-    return det(build_window(r + 2, n, r).matrix)
+    return det(build_window(r + 2, n, r))
 
 
 def shifted_fib_det(n: int) -> int:
@@ -66,7 +56,7 @@ def zero_det_check(m: int, n: int, r: int) -> int:
     """Determinant of an oversized window (m > r+2); identically zero."""
     if m <= r + 2:
         raise ValueError("oversized-window statement requires m > r + 2")
-    return det(build_window(m, n, r).matrix)
+    return det(build_window(m, n, r))
 
 
 @dataclass(frozen=True)

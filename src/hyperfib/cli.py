@@ -116,16 +116,16 @@ def cmd_hankel(args) -> int:
             "m": args.m,
             "n": args.n,
             "r": args.r,
-            "matrix": _matrix_strings(window.matrix),
+            "matrix": _matrix_strings(window),
         })
     else:
-        _print_matrix(window.matrix, fmt)
+        _print_matrix(window, fmt)
     return 0
 
 
 def cmd_det(args) -> int:
     window = build_window(args.m, args.n, args.r)
-    print(to_decimal(det(window.matrix, method=args.method)))
+    print(to_decimal(det(window, method=args.method)))
     return 0
 
 
@@ -158,8 +158,6 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     strategies = _parse_strategies(args.strategy)
-    if args.repeat < 1:
-        raise ValueError("--repeat must be >= 1")
     if Strategy.PREFIX_SUM in strategies and args.n < 0:
         raise ValueError("prefix strategy is defined only for n >= 0")
     value = None

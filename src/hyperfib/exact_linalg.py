@@ -3,10 +3,9 @@
 Matrices hold arbitrary-precision Python ints and never touch floating
 point.  Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
-for small matrices.  Unimodular matrices get an exact integer inverse via
-the adjugate, and characteristic polynomials come from the
-Faddeev-LeVerrier iteration, whose divisions are likewise exact over the
-integers.
+for small matrices.  One Faddeev-LeVerrier pass, whose divisions are
+likewise exact over the integers, gives both the characteristic polynomial
+and the adjugate, hence the exact inverse of a unimodular matrix.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class IntMatrix:
         c = self.cols
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def trace(self) -> int:
         if not self.is_square():
             raise ValueError("trace needs a square matrix")
@@ -108,14 +101,8 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
-
-    def __pow__(self, e: int) -> "IntMatrix":
-        return mat_pow(self, e)
-
     def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.to_rows())
+        return "\n".join(" ".join(to_decimal(x) for x in row) for row in self.to_rows())
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -212,21 +199,19 @@ def _cofactor(rows: list[list[int]]) -> int:
 
 
 def adjugate_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse det(a) * adj(a) of a unimodular matrix."""
+    """Exact integer inverse of a unimodular matrix.
+
+    With c_0 and M_n from the Faddeev-LeVerrier pass, det(a) = (-1)^n c_0,
+    so a is unimodular exactly when c_0 = +-1, and then Cayley-Hamilton
+    gives a^-1 = -M_n / c_0 = -c_0 * M_n.
+    """
     if not a.is_square():
         raise ValueError("inverse needs a square matrix")
-    d = det(a)
-    if d not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {d})")
-    n = a.rows
-    rows = a.to_rows()
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for r_i, row in enumerate(rows) if r_i != i]
-            # adjugate transposes the cofactors: entry (j, i) from minor (i, j)
-            out[j * n + i] = d * (-1) ** (i + j) * _bareiss(minor)
-    return IntMatrix(n, n, tuple(out))
+    coeffs, m = _faddeev_leverrier(a)
+    c0 = coeffs[0]
+    if c0 not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {(-1) ** a.rows * c0})")
+    return IntMatrix(a.rows, a.rows, tuple(-c0 * x for x in m.entries))
 
 
 @dataclass(frozen=True)
@@ -243,10 +228,6 @@ class Polynomial:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1   # zero polynomial has degree -1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -289,37 +270,6 @@ class Polynomial:
                 base = base * base
         return result
 
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division over the integers; leading quotient steps must divide."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        lead = div[-1]
-        qlen = len(rem) - len(div) + 1
-        if qlen <= 0:
-            return Polynomial(()), self
-        quot = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = _exact_div(rem[i + len(div) - 1], lead)
-            quot[i] = c
-            if c:
-                for j, y in enumerate(div):
-                    rem[i + j] -= c * y
-        return Polynomial(tuple(quot)), Polynomial(tuple(rem))
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -344,13 +294,19 @@ class Polynomial:
 
 
 def char_poly(a: IntMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - a).
-
-    Faddeev-LeVerrier iteration: every division by the step index is exact
-    because the coefficients are integers.
-    """
+    """Monic characteristic polynomial det(xI - a), by Faddeev-LeVerrier."""
     if not a.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
+    return Polynomial(tuple(_faddeev_leverrier(a)[0]))
+
+
+def _faddeev_leverrier(a: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Coefficients c_0..c_n of det(xI - a), ascending, and the matrix M_n.
+
+    M_1 = I, c_(n-k) = -tr(a M_k) / k and M_(k+1) = a M_k + c_(n-k) I; every
+    division by k is exact because the coefficients are integers.  The last
+    matrix is M_n = (-1)^(n+1) adj(a).
+    """
     n = a.rows
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -364,4 +320,4 @@ def char_poly(a: IntMatrix) -> Polynomial:
                 x + c if i % (n + 1) == 0 else x
                 for i, x in enumerate(am.entries)
             ))
-    return Polynomial(tuple(coeffs))
+    return coeffs, m

@@ -75,7 +75,7 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     if r < 0:
         raise ValueError("generation must be >= 0")
     q = build_q(r)
-    base = build_window(r + 2, 0, r).matrix
+    base = build_window(r + 2, 0, r)
     return mat_mul(mat_pow(q.matrix, n), base)
 
 

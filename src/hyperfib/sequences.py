@@ -1,4 +1,4 @@
-"""Exact generators for Fibonacci, polytopic, and hyperfibonacci numbers.
+"""Exact generators for Fibonacci and hyperfibonacci numbers.
 
 The generation-r hyperfibonacci sequence is the r-fold running sum of the
 Fibonacci numbers, every generation starting 0, 1.  Generation r satisfies
@@ -72,13 +72,6 @@ def binomial_poly(t: int, k: int) -> int:
         # floor division is exact even for negative t
         result = result * (t - i) // (i + 1)
     return result
-
-
-def polytopic(r: int, n: int) -> int:
-    """The n-th regular r-topic (figurate) number, C(n+r-1, r)."""
-    if r < 1:
-        raise ValueError("polytopic numbers need r >= 1")
-    return binomial_poly(n + r - 1, r)
 
 
 class HyperfibSequence:

@@ -11,7 +11,6 @@ from hyperfib.sequences import (
     binomial_poly,
     fibonacci,
     hyperfib,
-    polytopic,
     sequence,
 )
 
@@ -65,25 +64,36 @@ class TestBinomialPoly:
         assert binomial_poly(t, k) == math.comb(t, k)
 
 
+def _correction(r, n):
+    """F(n+2) - F(n+1) - F(n) of generation r, by the closed form per term."""
+    seq = sequence(r)
+    return seq.term(n + 2) - seq.term(n + 1) - seq.term(n)
+
+
+def _figurate(d, count):
+    """The first count d-dimensional figurate numbers: d-fold running sums of 1s."""
+    row = [1] * count
+    for _ in range(d):
+        row = [sum(row[:i + 1]) for i in range(count)]
+    return row
+
+
 class TestPolytopic:
+    """The correction term of generation r runs the (r-1)-topic numbers."""
+
     def test_triangular(self):
-        assert polytopic(2, 3) == 6   # 1 + 2 + 3
+        assert [_correction(3, n) for n in range(-1, 7)] == [1, 3, 6, 10, 15, 21, 28, 36]
 
     def test_naturals(self):
-        assert polytopic(1, 7) == 7
+        assert [_correction(2, n) for n in range(-1, 7)] == [1, 2, 3, 4, 5, 6, 7, 8]
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_first_term_is_one(self, r):
-        assert polytopic(r, 1) == 1
-
-    def test_rejects_r_zero(self):
-        with pytest.raises(ValueError):
-            polytopic(0, 5)
+        assert _correction(r, -1) == 1
 
     @pytest.mark.parametrize("r", range(2, 7))
     def test_correction_term_is_polytopic(self, r):
-        for n in range(-6, 40):
-            assert binomial_poly(n + r, r - 1) == polytopic(r - 1, n + 2)
+        assert [_correction(r, n) for n in range(-1, 39)] == _figurate(r - 1, 40)
 
 
 class TestHyperfib:
@@ -167,10 +177,8 @@ class TestHyperfibSequence:
         with pytest.raises(ValueError):
             HyperfibSequence(-2)
 
-    def test_cache_is_transparent(self):
+    def test_term_matches_recurrence(self):
         seq = HyperfibSequence(3)
-        for n in range(-12, 40):
-            assert seq.term(n) == hyperfib(3, n, Strategy.RECURRENCE)
         for n in range(-12, 40):
             assert seq.term(n) == hyperfib(3, n, Strategy.RECURRENCE)
 
@@ -186,7 +194,7 @@ class TestHyperfibSequence:
             hyperfib(r, k, Strategy.RECURRENCE) for k in range(start, start + length)
         ]
 
-    def test_concurrent_first_computation(self):
+    def test_concurrent_terms_agree(self):
         seq = HyperfibSequence(2)
         indices = [n for n in range(-80, 200)] * 4
         with ThreadPoolExecutor(max_workers=8) as pool:
