@@ -2,9 +2,9 @@
 
 Subcommands: term, seq, qmatrix, hankel, det, verify, bench.  Values are
 arbitrary-precision, so JSON output renders them as decimal strings.  Every
-value goes through ``to_decimal``, which leaves the interpreter's int/str
-digit limit alone.  Exit codes: 0 success, 1 verification failure, 2 usage
-or input error.
+value is rendered by ``_text``, which leaves the interpreter's int/str digit
+limit alone.  Exit codes: 0 success, 1 verification failure, 2 usage or
+input error or out of memory, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -14,33 +14,32 @@ import json
 import os
 import sys
 import time
-from enum import Enum
+from typing import Callable, Iterable
 
 from . import verify as verification
 from .cassini import build_window
-from .exact_linalg import IntMatrix, det, to_decimal
+from .exact_linalg import det, to_decimal
 from .qmatrix import build_q, q_closed_tail
 from .sequences import Strategy, hyperfib, sequence
 
 
-class OutputFormat(Enum):
-    PLAIN = "plain"
-    JSON = "json"
-    CSV = "csv"
+def _text(value) -> str:
+    """Decimal text of an int of any size; str() of anything else."""
+    return to_decimal(value) if isinstance(value, int) else str(value)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
+def _emit(fmt: str, payload: Callable[[], dict], rows: Iterable) -> None:
+    """Print payload() as one JSON line for json, else one line per row.
 
-
-def _matrix_strings(matrix: IntMatrix) -> list[list[str]]:
-    return [[to_decimal(x) for x in row] for row in matrix.to_rows()]
-
-
-def _print_matrix(matrix: IntMatrix, fmt: OutputFormat) -> None:
-    sep = "," if fmt is OutputFormat.CSV else " "
-    for row in matrix.to_rows():
-        print(sep.join(to_decimal(x) for x in row))
+    Only the output asked for is built.  A row is a line of text or a
+    sequence of values, which plain joins with spaces and csv with commas.
+    """
+    if fmt == "json":
+        print(json.dumps(payload()))
+        return
+    sep = "," if fmt == "csv" else " "
+    for row in rows:
+        print(row if isinstance(row, str) else sep.join(map(_text, row)))
 
 
 def _style(text: str, ok: bool) -> str:
@@ -52,11 +51,9 @@ def _style(text: str, ok: bool) -> str:
 
 def cmd_term(args) -> int:
     value = hyperfib(args.r, args.n, Strategy(args.strategy))
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.JSON:
-        _emit_json({"r": args.r, "n": args.n, "value": to_decimal(value)})
-    else:
-        print(to_decimal(value))
+    _emit(args.format,
+          lambda: {"r": args.r, "n": args.n, "value": _text(value)},
+          [[value]])
     return 0
 
 
@@ -64,68 +61,53 @@ def cmd_seq(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--from must not exceed --to")
     values = sequence(args.r).terms(args.n_from, args.n_to + 1)
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.JSON:
-        _emit_json({
-            "r": args.r,
-            "from": args.n_from,
-            "to": args.n_to,
-            "values": [to_decimal(v) for v in values],
-        })
-    else:
-        sep = "," if fmt is OutputFormat.CSV else " "
-        for n, v in zip(range(args.n_from, args.n_to + 1), values):
-            print(f"{n}{sep}{to_decimal(v)}")
+    _emit(args.format,
+          lambda: {"r": args.r, "from": args.n_from, "to": args.n_to,
+                   "values": [_text(v) for v in values]},
+          zip(range(args.n_from, args.n_to + 1), values))
     return 0
 
 
 def cmd_qmatrix(args) -> int:
     qm = build_q(args.r)
-    fmt = OutputFormat(args.format)
     tail = q_closed_tail(args.r) if args.r >= 1 else None
-    if fmt is OutputFormat.JSON:
-        payload = {
-            "r": args.r,
-            "q": [to_decimal(x) for x in qm.q],
-            "matrix": _matrix_strings(qm.matrix),
-        }
+
+    def payload():
+        out = {"r": args.r, "q": [_text(x) for x in qm.q],
+               "matrix": [[_text(x) for x in row] for row in qm.matrix.to_rows()]}
         if args.verbose and tail is not None:
-            payload["closed_tail"] = [to_decimal(x) for x in tail]
-        _emit_json(payload)
-        return 0
-    _print_matrix(qm.matrix, fmt)
-    if args.verbose:
-        print("q: " + " ".join(to_decimal(x) for x in qm.q))
+            out["closed_tail"] = [_text(x) for x in tail]
+        return out
+
+    def rows():
+        # the verbose lines join with spaces in every format
+        yield from qm.matrix.to_rows()
+        if not args.verbose:
+            return
+        yield "q: " + " ".join(map(_text, qm.q))
         if tail is None:
-            print("closed tail: undefined for r = 0")
+            yield "closed tail: undefined for r = 0"
         else:
             agrees = tail == qm.q[-3:]
-            print(
-                "closed tail (q_r, q_r+1, q_r+2): "
-                + " ".join(to_decimal(x) for x in tail)
-                + (" [matches]" if agrees else " [MISMATCH]")
-            )
+            yield ("closed tail (q_r, q_r+1, q_r+2): " + " ".join(map(_text, tail))
+                   + (" [matches]" if agrees else " [MISMATCH]"))
+
+    _emit(args.format, payload, rows())
     return 0
 
 
 def cmd_hankel(args) -> int:
     window = build_window(args.m, args.n, args.r)
-    fmt = OutputFormat(args.format)
-    if fmt is OutputFormat.JSON:
-        _emit_json({
-            "m": args.m,
-            "n": args.n,
-            "r": args.r,
-            "matrix": _matrix_strings(window),
-        })
-    else:
-        _print_matrix(window, fmt)
+    _emit(args.format,
+          lambda: {"m": args.m, "n": args.n, "r": args.r,
+                   "matrix": [[_text(x) for x in row] for row in window.to_rows()]},
+          window.to_rows())
     return 0
 
 
 def cmd_det(args) -> int:
     window = build_window(args.m, args.n, args.r)
-    print(to_decimal(det(window, method=args.method)))
+    print(_text(det(window, method=args.method)))
     return 0
 
 
@@ -144,7 +126,8 @@ def cmd_verify(args) -> int:
             f"{len(report.failures)} failures ({report.elapsed:.2f}s)"
         )
         for failure in report.failures[:20]:
-            print(f"  {failure.case}: computed {failure.computed}, expected {failure.expected}")
+            print(f"  {failure.case}: computed {_text(failure.computed)}, "
+                  f"expected {_text(failure.expected)}")
         if len(report.failures) > 20:
             print(f"  ... and {len(report.failures) - 20} more")
     ok = total_failures == 0
@@ -178,7 +161,7 @@ def cmd_bench(args) -> int:
             )
             return 1
         rows.append((strat.value, times))
-    print(f"value: {to_decimal(value)}")
+    print(f"value: {_text(value)}")
     for name, times in rows:
         print(
             f"{name}: best {min(times):.6f}s, "
@@ -226,8 +209,7 @@ def _seed(text: str) -> int:
 
 
 def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=[f.value for f in OutputFormat],
-                        default="plain")
+    parser.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,6 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

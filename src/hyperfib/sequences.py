@@ -164,18 +164,19 @@ def _prefix_sum(r: int, n: int) -> int:
 
 
 def _recurrence(r: int, n: int) -> int:
-    # rolling two-term window, O(1) memory; the tests hold the closed form
-    # in HyperfibSequence against it
+    # rolling two-term window, O(1) memory, with the correction
+    # C(k+r, r-1) carried in O(1) per step; it calls no closed form, so the
+    # tests hold HyperfibSequence against it
     if n >= 0:
-        a, b = 0, 1
+        a, b, c = 0, 1, r   # F_r(k), F_r(k+1), C(k+r, r-1) at k = 0
         for k in range(n):
-            a, b = b, a + b + (binomial_poly(k + r, r - 1) if r else 0)
+            a, b = b, a + b + c
+            c = c * (k + r + 1) // (k + 2)
         return a
-    a, b = 1, 0   # F_{k+2}, F_{k+1} while stepping k downward
-    k = -1
-    while True:
-        t = a - b - (binomial_poly(k + r, r - 1) if r else 0)
-        if k == n:
-            return t
-        a, b = b, t
-        k -= 1
+    a, b, c = 1, 0, 1 if r else 0   # F_r(k+2), F_r(k+1), C(k+r, r-1) at k = -1
+    for k in range(-1, n, -1):
+        a, b = b, a - b - c
+        # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
+        # the factor is undefined and the next value is C(-1, r-1)
+        c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
+    return a - b - c

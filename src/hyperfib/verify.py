@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cassini import SecondOrderPair, general_cassini, hankel, predicted_sign
-from .exact_linalg import Polynomial, char_poly, det, to_decimal
+from .exact_linalg import Polynomial, char_poly, det
 from .qmatrix import build_q
 from .sequences import Strategy, hyperfib, sequence
 
@@ -23,9 +23,11 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class Failure:
+    """A case that disagreed, with the computed and expected values themselves."""
+
     case: str
-    computed: str
-    expected: str
+    computed: int | Polynomial
+    expected: int | Polynomial
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ def _suite_cassini(r_max, n_min, n_max, rng):
             d, predicted = det(window), predicted_sign(r, n)
             cases += 1
             if d != predicted:
-                failures.append(Failure(f"r={r} n={n}", to_decimal(d), to_decimal(predicted)))
+                failures.append(Failure(f"r={r} n={n}", d, predicted))
     return cases, failures
 
 
@@ -66,7 +68,7 @@ def _suite_qdet(r_max, n_min, n_max, rng):
         d = det(build_q(r).matrix)
         cases += 1
         if d != -1:
-            failures.append(Failure(f"r={r}", to_decimal(d), "-1"))
+            failures.append(Failure(f"r={r}", d, -1))
     return cases, failures
 
 
@@ -77,7 +79,7 @@ def _suite_zero(r_max, n_min, n_max, rng):
             d = det(window)
             cases += 1
             if d != 0:
-                failures.append(Failure(f"m={m} n={n} r={r}", to_decimal(d), "0"))
+                failures.append(Failure(f"m={m} n={n} r={r}", d, 0))
     return cases, failures
 
 
@@ -93,9 +95,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
             for strat in others:
                 value = hyperfib(r, n, strat)
                 if value != reference:
-                    failures.append(Failure(
-                        f"r={r} n={n} {strat.value}", to_decimal(value), to_decimal(reference)
-                    ))
+                    failures.append(Failure(f"r={r} n={n} {strat.value}", value, reference))
     return cases, failures
 
 
@@ -107,7 +107,7 @@ def _suite_general(r_max, n_min, n_max, rng):
             lhs, rhs = general_cassini(pair, m)
             cases += 1
             if lhs != rhs:
-                failures.append(Failure(f"{pair} m={m}", to_decimal(lhs), to_decimal(rhs)))
+                failures.append(Failure(f"{pair} m={m}", lhs, rhs))
     return cases, failures
 
 
@@ -120,7 +120,7 @@ def _suite_charpoly(r_max, n_min, n_max, rng):
         expected = fib_factor * shift**r
         cases += 1
         if computed != expected:
-            failures.append(Failure(f"r={r}", str(computed), str(expected)))
+            failures.append(Failure(f"r={r}", computed, expected))
     return cases, failures
 
 

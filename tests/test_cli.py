@@ -39,6 +39,29 @@ def parse_decimal(text):
     return -value if text.startswith("-") else value
 
 
+QMATRIX_R2_JSON = (
+    '{"r": 2, "q": ["1", "-1", "-2", "3"], "matrix": [["0", "1", "0", "0"], '
+    '["0", "0", "1", "0"], ["0", "0", "0", "1"], ["1", "-1", "-2", "3"]]'
+)
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    ("term --r 2 --n 9 --format csv", "221\n"),
+    ("hankel --m 3 --n 0 --r 1 --format csv", "0,1,2\n1,2,4\n2,4,7\n"),
+    ("qmatrix --r 2 --verbose --format csv",
+     "0,1,0,0\n0,0,1,0\n0,0,0,1\n1,-1,-2,3\n"
+     "q: 1 -1 -2 3\n"
+     "closed tail (q_r, q_r+1, q_r+2): -1 -2 3 [matches]\n"),
+    ("qmatrix --r 2 --verbose --format json",
+     QMATRIX_R2_JSON + ', "closed_tail": ["-1", "-2", "3"]}\n'),
+    ("qmatrix --r 0 --verbose --format json",
+     '{"r": 0, "q": ["1", "1"], "matrix": [["0", "1"], ["1", "1"]]}\n'),
+])
+def test_exact_stdout(capsys, argv, stdout):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (0, stdout, "")
+
+
 class TestTerm:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "term", "--r", "2", "--n", "9")
@@ -229,7 +252,7 @@ class TestVerifyCommand:
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         def broken(r_max, n_min, n_max, rng):
-            return 1, [Failure("r=1", "0", "-1")]
+            return 1, [Failure("r=1", 0, -1)]
 
         monkeypatch.setitem(verification.SUITES, "qdet", broken)
         code, out, _ = run(capsys, "verify", "--r-max", "1",
@@ -305,6 +328,17 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("exc, code, err", [
+        (KeyboardInterrupt, 130, ""),
+        (MemoryError, 2, "error: out of memory\n"),
+    ])
+    def test_interrupt_and_memory_exhaustion(self, capsys, monkeypatch, exc, code, err):
+        def raising(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "hyperfib", raising)
+        assert run(capsys, "term", "--r", "1", "--n", "5") == (code, "", err)
+
 
 class TestVerifyModule:
     def test_validations(self):
@@ -327,6 +361,20 @@ class TestVerifyModule:
     def test_subset_dedup(self):
         reports = verify_all(1, 0, 1, ["qdet", "cassini", "qdet"])
         assert [r.suite for r in reports] == ["cassini", "qdet"]
+
+    def test_failures_keep_their_values(self, monkeypatch):
+        actual = verification.hyperfib
+
+        def rigged(r, n, strategy=Strategy.RECURRENCE):
+            value = actual(r, n, strategy)
+            return value + 1 if strategy is Strategy.MATRIX_POWER else value
+
+        monkeypatch.setattr(verification, "hyperfib", rigged)
+        [report] = verify_all(1, 5, 5, ["crosscheck"])
+        assert report.failures == (
+            Failure("r=0 n=5 matpow", 6, 5),
+            Failure("r=1 n=5 matpow", 13, 12),
+        )
 
     def test_seed_determinism(self):
         first = verify_all(1, 0, 1, ["general"], seed=99)

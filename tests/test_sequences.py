@@ -166,7 +166,7 @@ class TestIdentities:
         for n in range(0, 201):
             assert hyperfib(1, n) == fibonacci(n + 2) - 1
 
-    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("r", range(1, 25))
     def test_zero_run_and_corner(self, r):
         assert all(hyperfib(r, n) == 0 for n in range(-r, 1))
         assert hyperfib(r, -r - 1) == (-1) ** r
