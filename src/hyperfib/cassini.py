@@ -20,8 +20,6 @@ def build_window(m: int, n: int, r: int) -> IntMatrix:
     """The m x m Hankel window of generation r at n, from 2m-1 consecutive terms."""
     if m < 1:
         raise ValueError("window size must be >= 1")
-    if r < 0:
-        raise ValueError("generation must be >= 0")
     return hankel(sequence(r).terms(n, n + 2 * m - 1), m)
 
 
@@ -39,7 +37,7 @@ def predicted_sign(r: int, n: int) -> int:
 
 def cassini_det(r: int, n: int) -> int:
     """Determinant of the (r+2)-window at n, by fraction-free elimination."""
-    if r < 0:
+    if r < 0:   # before build_window, whose size check r + 2 >= 1 comes first
         raise ValueError("generation must be >= 0")
     return det(build_window(r + 2, n, r))
 

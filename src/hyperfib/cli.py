@@ -4,7 +4,7 @@ Subcommands: term, seq, qmatrix, hankel, det, verify, bench.  Values are
 arbitrary-precision, so JSON output renders them as decimal strings.  Every
 value is rendered by ``_text``, which leaves the interpreter's int/str digit
 limit alone.  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error or out of memory, 130 interrupted.
+input error or out of memory, 130 interrupted, 141 stdout closed.
 """
 
 from __future__ import annotations
@@ -172,19 +172,15 @@ def cmd_bench(args) -> int:
 
 def _parse_strategies(text: str) -> list[Strategy]:
     parts = [p for p in text.split(",") if p]
-    if "all" in parts:
-        return [Strategy.PREFIX_SUM, Strategy.RECURRENCE, Strategy.MATRIX_POWER]
     if not parts:
         raise ValueError("no strategies selected")
-    out = []
-    for part in parts:
-        try:
-            strat = Strategy(part)
-        except ValueError:
-            raise ValueError(f"unknown strategy: {part}") from None
-        if strat not in out:
-            out.append(strat)
-    return out
+    known = {s.value for s in Strategy}
+    unknown = [p for p in parts if p != "all" and p not in known]
+    if unknown:
+        raise ValueError(f"unknown strategy: {', '.join(unknown)}")
+    if "all" in parts:
+        return list(Strategy)
+    return list(dict.fromkeys(map(Strategy, parts)))
 
 
 def _nonneg(text: str) -> int:
@@ -284,7 +280,14 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; point fd 1 at devnull so the flush at
+        # interpreter exit cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,8 +39,6 @@ def build_q(r: int) -> QMatrix:
 
         q_j = F(r+4-j) - sum_{i=j+1..r+2} F(i-j+1) * q_i
     """
-    if r < 0:
-        raise ValueError("generation must be >= 0")
     f = sequence(r).terms(0, r + 4)
     k = r + 2
     q = [0] * (k + 1)   # 1-indexed
@@ -72,8 +70,6 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     Negative n works because the companion matrix is unimodular, so Q^(-1)
     is again an integer matrix.
     """
-    if r < 0:
-        raise ValueError("generation must be >= 0")
     q = build_q(r)
     base = build_window(r + 2, 0, r)
     return mat_mul(mat_pow(q.matrix, n), base)

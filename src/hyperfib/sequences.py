@@ -59,29 +59,15 @@ def fibonacci(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def binomial_poly(t: int, k: int) -> int:
-    """Binomial coefficient C(t, k), extended polynomially to any integer t.
-
-    Evaluates t(t-1)...(t-k+1) / k!, which is an integer for every integer t.
-    """
-    if k < 0:
-        raise ValueError("lower index must be >= 0")
-    result = 1
-    for i in range(k):
-        # partial product C(t, i) * (t - i) is divisible by i + 1, so the
-        # floor division is exact even for negative t
-        result = result * (t - i) // (i + 1)
-    return result
-
-
 class HyperfibSequence:
     """Generation-r terms from the closed form; nothing is cached.
 
     ``term(n)`` evaluates the closed form of the module docstring.
-    ``terms(start, stop)`` seeds the pair F_r(start), F_r(start+1) from it in
-    O(r) operations, then runs the inhomogeneous recurrence forward with the
-    correction C(k+r, r-1) carried in O(1) per step.  An instance holds only
-    r, so instances and threads share no state.
+    ``terms(start, stop)`` seeds the pair F_r(start), F_r(start+1) and the
+    correction C(start+r, r-1) from it in O(r) operations, then runs the
+    inhomogeneous recurrence forward with the correction C(k+r, r-1) carried
+    in O(1) per step.  An instance holds only r, so instances and threads
+    share no state.
     """
 
     def __init__(self, r: int):
@@ -89,10 +75,11 @@ class HyperfibSequence:
             raise ValueError("generation must be >= 0")
         self.r = r
 
-    def _seed(self, n: int) -> tuple[int, int]:
-        # F_r(n) and F_r(n+1) by the closed form.  Term i of the sum pairs
-        # F(2j+1), j = r-1-i, stepped down from a running (even, odd) pair,
-        # with C(n+i, i) = C(n+i-1, i-1) * (n+i) / i, an exact step.
+    def _seed(self, n: int) -> tuple[int, int, int]:
+        # F_r(n), F_r(n+1) by the closed form, and C(n+r, r-1).  Term i of
+        # the sum pairs F(2j+1), j = r-1-i, stepped down from a running
+        # (even, odd) pair, with C(n+i, i) = C(n+i-1, i-1) * (n+i) / i, an
+        # exact step; the last c1 is C(n+r, r-1), which is 0 at r = 0.
         r = self.r
         f0, f1 = _fib_pair(n + 2 * r)
         even, odd = _fib_pair(2 * r - 2)    # F(2j), F(2j+1) at j = r-1
@@ -104,7 +91,7 @@ class HyperfibSequence:
             f0 -= odd * c0
             f1 -= odd * c1
             even, odd = 2 * even - odd, odd - even
-        return f0, f1
+        return f0, f1, c1 if r else 0
 
     def term(self, n: int) -> int:
         return self._seed(n)[0]
@@ -112,8 +99,7 @@ class HyperfibSequence:
     def terms(self, start: int, stop: int) -> list[int]:
         """Terms for indices start..stop-1 (half-open, like range)."""
         r = self.r
-        a, b = self._seed(start)
-        c = binomial_poly(start + r, r - 1) if r else 0   # C(k+r, r-1) at k = start
+        a, b, c = self._seed(start)   # c = C(k+r, r-1) at k = start
         out = []
         for k in range(start, stop):
             out.append(a)
@@ -127,9 +113,7 @@ class HyperfibSequence:
         return out
 
 
-def sequence(r: int) -> HyperfibSequence:
-    """The generation-r term source; it keeps no state between calls."""
-    return HyperfibSequence(r)
+sequence = HyperfibSequence
 
 
 def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:

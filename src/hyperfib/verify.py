@@ -84,15 +84,15 @@ def _suite_zero(r_max, n_min, n_max, rng):
 
 
 def _suite_crosscheck(r_max, n_min, n_max, rng):
+    # every strategy against one closed-form run per generation
     cases, failures = 0, []
     for r in range(0, r_max + 1):
-        for n in range(n_min, n_max + 1):
-            reference = hyperfib(r, n, Strategy.RECURRENCE)
-            others = [Strategy.MATRIX_POWER]
-            if n >= 0:
-                others.append(Strategy.PREFIX_SUM)
+        expected = sequence(r).terms(n_min, n_max + 1)
+        for n, reference in zip(range(n_min, n_max + 1), expected):
             cases += 1
-            for strat in others:
+            for strat in Strategy:
+                if strat is Strategy.PREFIX_SUM and n < 0:
+                    continue
                 value = hyperfib(r, n, strat)
                 if value != reference:
                     failures.append(Failure(f"r={r} n={n} {strat.value}", value, reference))
@@ -152,15 +152,13 @@ def verify_all(
         raise ValueError("r_max must be >= 1")
     if n_min > n_max:
         raise ValueError("empty index range: n_min > n_max")
-    names = list(suites)
-    if "all" in names:
-        names = list(SUITES)
+    names = set(suites)
     if not names:
         raise ValueError("no suites selected")
-    unknown = sorted(set(names) - set(SUITES))
+    unknown = sorted(names - set(SUITES) - {"all"})
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
-    chosen = [name for name in SUITES if name in set(names)]
+    chosen = [name for name in SUITES if "all" in names or name in names]
     reports = []
     for name in chosen:
         rng = random.Random(seed)   # every suite sees the same seeded stream

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +243,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "bogus" in err
 
+    def test_all_with_unknown_suite(self, capsys):
+        code, _, err = run(capsys, "verify", "--r-max", "1", "--n-min", "0",
+                           "--n-max", "0", "--suite", "all,bogus")
+        assert code == 2
+        assert "bogus" in err
+
     def test_reversed_range(self, capsys):
         code, _, _ = run(capsys, "verify", "--r-max", "2",
                          "--n-min", "5", "--n-max", "0")
@@ -302,6 +311,12 @@ class TestBenchCommand:
                          "--strategy", "magic", "--repeat", "1")
         assert code == 2
 
+    def test_all_with_unknown_strategy(self, capsys):
+        code, _, err = run(capsys, "bench", "--r", "1", "--n", "5",
+                           "--strategy", "all,magic", "--repeat", "1")
+        assert code == 2
+        assert "magic" in err
+
     def test_zero_repeat(self, capsys):
         code, _, _ = run(capsys, "bench", "--r", "1", "--n", "5",
                          "--strategy", "all", "--repeat", "0")
@@ -339,6 +354,21 @@ class TestUsage:
         monkeypatch.setattr(cli, "hyperfib", raising)
         assert run(capsys, "term", "--r", "1", "--n", "5") == (code, "", err)
 
+    def test_closed_pipe_exits_quietly(self):
+        # the reader takes one line and leaves; the rest of the run (about
+        # 2.6 MB) cannot fit in the pipe, so a later write meets the closed end
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+            [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (first, proc.wait(timeout=60), err) == (b"0 0\n", 141, b"")
+
 
 class TestVerifyModule:
     def test_validations(self):
@@ -350,6 +380,10 @@ class TestVerifyModule:
             verify_all(2, 0, 5, [])
         with pytest.raises(ValueError):
             verify_all(2, 0, 5, ["nope"])
+
+    def test_all_with_unknown_name(self):
+        with pytest.raises(ValueError, match="nope"):
+            verify_all(1, 0, 1, ["all", "nope"])
 
     def test_all_expansion_and_order(self):
         reports = verify_all(1, 0, 2)
@@ -374,6 +408,28 @@ class TestVerifyModule:
         assert report.failures == (
             Failure("r=0 n=5 matpow", 6, 5),
             Failure("r=1 n=5 matpow", 13, 12),
+        )
+
+    @pytest.mark.parametrize("n, failing", [
+        (5, ("prefix", "recurrence", "matpow")),
+        (-3, ("recurrence", "matpow")),
+    ])
+    def test_crosscheck_reads_the_closed_form(self, monkeypatch, n, failing):
+        # the closed-form run is off by one at (r=1, n) alone, so every
+        # strategy defined there disagrees with it, and nothing else does
+        class Rigged(verification.sequence):
+            def terms(self, start, stop):
+                values = super().terms(start, stop)
+                if self.r == 1:
+                    values[n - start] += 1
+                return values
+
+        monkeypatch.setattr(verification, "sequence", Rigged)
+        [report] = verify_all(2, -4, 6, ["crosscheck"])
+        value = hyperfib(1, n)
+        assert report.cases == 3 * 11
+        assert report.failures == tuple(
+            Failure(f"r=1 n={n} {name}", value, value + 1) for name in failing
         )
 
     def test_seed_determinism(self):

@@ -1,4 +1,3 @@
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from hyperfib.sequences import (
     HyperfibSequence,
     Strategy,
-    binomial_poly,
     fibonacci,
     hyperfib,
     sequence,
@@ -35,33 +33,6 @@ class TestFibonacci:
     def test_doubling_matches_recurrence(self):
         expected = [hyperfib(0, n, Strategy.RECURRENCE) for n in range(-3000, 3001)]
         assert [fibonacci(n) for n in range(-3000, 3001)] == expected
-
-
-class TestBinomialPoly:
-    def test_ordinary(self):
-        assert binomial_poly(5, 2) == 10
-
-    @pytest.mark.parametrize("t", [-7, -1, 0, 3, 100])
-    def test_empty_product(self, t):
-        assert binomial_poly(t, 0) == 1
-
-    def test_negative_upper(self):
-        assert binomial_poly(-1, 2) == 1   # (-1)(-2)/2
-
-    def test_rejects_negative_lower(self):
-        with pytest.raises(ValueError):
-            binomial_poly(3, -1)
-
-    @given(st.integers(-60, 60), st.integers(0, 12))
-    def test_falling_factorial_oracle(self, t, k):
-        numerator = math.prod(t - i for i in range(k))
-        q, rem = divmod(numerator, math.factorial(k))
-        assert rem == 0
-        assert binomial_poly(t, k) == q
-
-    @given(st.integers(0, 80), st.integers(0, 12))
-    def test_matches_comb_for_nonnegative(self, t, k):
-        assert binomial_poly(t, k) == math.comb(t, k)
 
 
 def _correction(r, n):
