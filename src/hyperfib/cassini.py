@@ -10,7 +10,7 @@ Cassini identity; for m > r+2 the determinant vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact_linalg import IntMatrix, det
 from .sequences import fibonacci, sequence
@@ -77,11 +77,15 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError("index must be >= 1")
+    return list(general_cassini_walk(pair, m))[-1]
+
+
+def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[int, int]]:
+    """general_cassini(pair, m) for m = 1..m_max, from one walk of the pair."""
     a_prev, a_cur = pair.a0, pair.a1
     b_prev, b_cur = pair.b0, pair.b1
-    for _ in range(m - 1):
+    for m in range(1, m_max + 1):
+        yield (a_cur * b_prev - a_prev * b_cur,
+               (-pair.beta) ** (m - 1) * (pair.a1 * pair.b0 - pair.a0 * pair.b1))
         a_prev, a_cur = a_cur, pair.alpha * a_cur + pair.beta * a_prev
         b_prev, b_cur = b_cur, pair.alpha * b_cur + pair.beta * b_prev
-    lhs = a_cur * b_prev - a_prev * b_cur
-    rhs = (-pair.beta) ** (m - 1) * (pair.a1 * pair.b0 - pair.a0 * pair.b1)
-    return lhs, rhs

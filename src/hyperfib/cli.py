@@ -60,7 +60,7 @@ def cmd_term(args) -> int:
 def cmd_seq(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--from must not exceed --to")
-    values = sequence(args.r).terms(args.n_from, args.n_to + 1)
+    values = sequence(args.r)._run(args.n_from, args.n_to + 1)   # streamed
     _emit(args.format,
           lambda: {"r": args.r, "from": args.n_from, "to": args.n_to,
                    "values": [_text(v) for v in values]},

@@ -3,9 +3,9 @@
 Matrices hold arbitrary-precision Python ints and never touch floating
 point.  Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
-for small matrices.  One Faddeev-LeVerrier pass, whose divisions are
-likewise exact over the integers, gives both the characteristic polynomial
-and the adjugate, hence the exact inverse of a unimodular matrix.
+for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
+chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
+(Cayley-Hamilton), for negative e too when a is unimodular.
 """
 
 from __future__ import annotations
@@ -120,22 +120,14 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
-    """a**e by binary exponentiation; negative e uses the adjugate inverse."""
+    """a**e as sum p_i a^i, p = x^e mod char_poly(a); e < 0 needs det(a) = +-1."""
     if not a.is_square():
         raise ValueError("matrix power needs a square matrix")
-    if e < 0:
-        base = adjugate_inverse(a)   # raises unless det(a) is +-1
-        e = -e
-    else:
-        base = a
-    result = IntMatrix.identity(a.rows)
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+    total, power = [0] * a.rows ** 2, IntMatrix.identity(a.rows)
+    for i, c in enumerate(_x_pow_mod(e, char_poly(a)).coeffs):
+        power = mat_mul(power, a) if i else power
+        total = [t + c * x for t, x in zip(total, power.entries)]
+    return IntMatrix(a.rows, a.rows, tuple(total))
 
 
 def det(a: IntMatrix, method: str = "bareiss") -> int:
@@ -199,19 +191,8 @@ def _cofactor(rows: list[list[int]]) -> int:
 
 
 def adjugate_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a unimodular matrix.
-
-    With c_0 and M_n from the Faddeev-LeVerrier pass, det(a) = (-1)^n c_0,
-    so a is unimodular exactly when c_0 = +-1, and then Cayley-Hamilton
-    gives a^-1 = -M_n / c_0 = -c_0 * M_n.
-    """
-    if not a.is_square():
-        raise ValueError("inverse needs a square matrix")
-    coeffs, m = _faddeev_leverrier(a)
-    c0 = coeffs[0]
-    if c0 not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {(-1) ** a.rows * c0})")
-    return IntMatrix(a.rows, a.rows, tuple(-c0 * x for x in m.entries))
+    """Exact integer inverse of a unimodular matrix, a**-1."""
+    return mat_pow(a, -1)
 
 
 @dataclass(frozen=True)
@@ -257,17 +238,28 @@ class Polynomial:
                     out[i + j] += x * y
         return Polynomial(tuple(out))
 
-    def __pow__(self, e: int) -> "Polynomial":
+    def __mod__(self, divisor: "Polynomial") -> "Polynomial":
+        """Remainder by a monic divisor, exact over the integers."""
+        d = divisor.coeffs
+        if not d or d[-1] != 1:
+            raise ValueError("remainder needs a monic divisor")
+        out, k = list(self.coeffs), len(d) - 1
+        for top in range(len(out) - 1, k - 1, -1):
+            for i in range(k):
+                out[top - k + i] -= out[top] * d[i]
+        return Polynomial(tuple(out[:k]))
+
+    def __pow__(self, e: int, mod: "Polynomial | None" = None) -> "Polynomial":
         if e < 0:
             raise ValueError("polynomial power must be >= 0")
-        result = Polynomial((1,))
-        base = self
+        reduce = (lambda p: p) if mod is None else (lambda p: p % mod)
+        result, base = reduce(Polynomial((1,))), reduce(self)
         while e:
             if e & 1:
-                result = result * base
+                result = reduce(result * base)
             e >>= 1
             if e:
-                base = base * base
+                base = reduce(base * base)
         return result
 
     def __str__(self) -> str:
@@ -294,30 +286,33 @@ class Polynomial:
 
 
 def char_poly(a: IntMatrix) -> Polynomial:
-    """Monic characteristic polynomial det(xI - a), by Faddeev-LeVerrier."""
-    if not a.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
-    return Polynomial(tuple(_faddeev_leverrier(a)[0]))
-
-
-def _faddeev_leverrier(a: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Coefficients c_0..c_n of det(xI - a), ascending, and the matrix M_n.
+    """Monic characteristic polynomial det(xI - a), by Faddeev-LeVerrier.
 
     M_1 = I, c_(n-k) = -tr(a M_k) / k and M_(k+1) = a M_k + c_(n-k) I; every
-    division by k is exact because the coefficients are integers.  The last
-    matrix is M_n = (-1)^(n+1) adj(a).
+    division by k is exact because the coefficients are integers.
     """
+    if not a.is_square():
+        raise ValueError("characteristic polynomial needs a square matrix")
     n = a.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
+    coeffs = [0] * n + [1]
     m = IntMatrix.identity(n)
     for k in range(1, n + 1):
         am = mat_mul(a, m)
-        c = _exact_div(-am.trace(), k)
-        coeffs[n - k] = c
-        if k < n:
-            m = IntMatrix(n, n, tuple(
-                x + c if i % (n + 1) == 0 else x
-                for i, x in enumerate(am.entries)
-            ))
-    return coeffs, m
+        c = coeffs[n - k] = _exact_div(-am.trace(), k)
+        m = IntMatrix(n, n, tuple(
+            x + c if i % (n + 1) == 0 else x for i, x in enumerate(am.entries)))
+    return Polynomial(tuple(coeffs))
+
+
+def _x_pow_mod(e: int, chi: Polynomial) -> Polynomial:
+    """x^e mod the monic chi, for any integer e.
+
+    With chi = x*h + c_0, x*h = -c_0 mod chi, so when c_0 = +-1 (for
+    chi = det(xI - a): when a is unimodular) x^-1 = -c_0 * h mod chi.
+    """
+    c = chi.coeffs
+    if e >= 0:
+        return pow(Polynomial((0, 1)), e, chi)
+    if c[0] not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {(-1) ** (len(c) - 1) * c[0]})")
+    return pow(Polynomial(tuple(-c[0] * x for x in c[1:])), -e, chi)

@@ -7,7 +7,8 @@ recurrence weights q_1..q_{r+2}.  The weights come from a triangular
 back-substitution against the terms around index 0 (where every generation
 has a long run of zeros); ``infer_recurrence`` re-derives them generically
 as the minimal recurrence fitting a prefix, giving an independent
-cross-check, and the last three weights also have closed forms.
+cross-check, and the last three weights also have closed forms.  Powers Q^n,
+as x^n mod the characteristic polynomial, give the windows at any index n.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
 
-from .cassini import build_window
-from .exact_linalg import IntMatrix, _exact_div, mat_mul, mat_pow
+from .cassini import hankel
+from .exact_linalg import IntMatrix, Polynomial, _exact_div, _x_pow_mod
 from .sequences import sequence
 
 
@@ -65,14 +66,18 @@ def q_closed_tail(r: int) -> tuple[int, int, int]:
 
 
 def reconstruct(r: int, n: int) -> IntMatrix:
-    """The (r+2)-window at index n rebuilt as Q^n times the window at 0.
+    """The (r+2)-window at index n, as Q^n times the window at 0.
 
-    Negative n works because the companion matrix is unimodular, so Q^(-1)
-    is again an integer matrix.
+    Q^n = sum p_i Q^i, p = x^n mod det(xI - Q) (C. M. Fiduccia, SIAM J.
+    Comput. 14, 1985), and Q^i times the window at 0 is the window at i, so
+    only Q's weights and the run F_r(0..3r+3) are read.  Negative n works
+    because q_1 = +-1 makes Q unimodular.
     """
-    q = build_q(r)
-    base = build_window(r + 2, 0, r)
-    return mat_mul(mat_pow(q.matrix, n), base)
+    q, k = build_q(r).q, r + 2
+    p = _x_pow_mod(n, Polynomial(tuple(-x for x in q) + (1,))).coeffs
+    run = sequence(r).terms(0, 3 * k - 2)
+    return hankel([sum(c * run[i + j] for i, c in enumerate(p))
+                   for j in range(2 * k - 1)], k)
 
 
 Coefficient = Union[int, Fraction]

@@ -26,6 +26,7 @@ arithmetic is plain Python int, so results are exact at any size.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterator
 
 
 class Strategy(Enum):
@@ -98,11 +99,14 @@ class HyperfibSequence:
 
     def terms(self, start: int, stop: int) -> list[int]:
         """Terms for indices start..stop-1 (half-open, like range)."""
+        return list(self._run(start, stop))
+
+    def _run(self, start: int, stop: int) -> Iterator[int]:
+        # the terms of terms(start, stop), one at a time
         r = self.r
         a, b, c = self._seed(start)   # c = C(k+r, r-1) at k = start
-        out = []
         for k in range(start, stop):
-            out.append(a)
+            yield a
             a, b = b, a + b + c
             # C(k+1+r, r-1) = C(k+r, r-1) * (k+r+1) / (k+2) exactly; at
             # k = -2 the factor is undefined and the next value is C(r-1, r-1)
@@ -110,7 +114,6 @@ class HyperfibSequence:
                 c = c * (k + r + 1) // (k + 2)
             elif r:
                 c = 1
-        return out
 
 
 sequence = HyperfibSequence

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cassini import SecondOrderPair, general_cassini, hankel, predicted_sign
+from .cassini import SecondOrderPair, general_cassini_walk, hankel, predicted_sign
 from .exact_linalg import Polynomial, char_poly, det
 from .qmatrix import build_q
 from .sequences import Strategy, hyperfib, sequence
@@ -103,8 +103,7 @@ def _suite_general(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for _ in range(200):
         pair = SecondOrderPair(*(rng.randint(-9, 9) for _ in range(6)))
-        for m in range(1, 51):
-            lhs, rhs = general_cassini(pair, m)
+        for m, (lhs, rhs) in enumerate(general_cassini_walk(pair, 50), 1):
             cases += 1
             if lhs != rhs:
                 failures.append(Failure(f"{pair} m={m}", lhs, rhs))

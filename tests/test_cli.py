@@ -5,12 +5,21 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperfib.cli as cli
 import hyperfib.verify as verification
 from hyperfib.cli import main
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
+
+
+def _child_env():
+    """The environment for a `python -m hyperfib` child that imports this src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -357,17 +366,28 @@ class TestUsage:
     def test_closed_pipe_exits_quietly(self):
         # the reader takes one line and leaves; the rest of the run (about
         # 2.6 MB) cannot fit in the pipe, so a later write meets the closed end
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         with subprocess.Popen(
             [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "5000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
         ) as proc:
             first = proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()
         assert (first, proc.wait(timeout=60), err) == (b"0 0\n", 141, b"")
+
+    def test_seq_streams(self):
+        # the whole run would hold about 440 MiB of terms; streamed, the
+        # child stops at the closed pipe with only a few terms alive
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)   # this child's own peak RSS
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert (first, proc.returncode) == (b"0 0\n", 141)
+        assert usage.ru_maxrss < 100 * 1024   # KiB
 
 
 class TestVerifyModule:
@@ -437,3 +457,23 @@ class TestVerifyModule:
         second = verify_all(1, 0, 1, ["general"], seed=99)
         assert first[0].cases == second[0].cases == 10000
         assert first[0].passed and second[0].passed
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2), st.integers(-3, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_fixed_seed_gives_equal_reports(self, seed, r_max, n_min):
+        # the general walk is rigged to fail on pairs with a0 == a1, which
+        # the seed decides, so equal failures mean equal draws and labels
+        actual = verification.general_cassini_walk
+
+        def rigged(pair, m_max):
+            for lhs, rhs in actual(pair, m_max):
+                yield lhs + (pair.a0 == pair.a1), rhs
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "general_cassini_walk", rigged)
+            first, second = (
+                [(rep.suite, rep.cases, rep.failures)
+                 for rep in verify_all(r_max, n_min, n_min + 2, seed=seed)]
+                for _ in range(2))
+        assert first == second
+        assert sum(cases for _, cases, _ in first) > 10000

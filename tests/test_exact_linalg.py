@@ -60,6 +60,14 @@ def unimodular_matrices(draw, max_size=7):
     return IntMatrix.from_rows(rows)
 
 
+def _repeated_product(a, e):
+    """a multiplied e times onto I; the mat_pow oracle for e >= 0."""
+    product = IntMatrix.identity(a.rows)
+    for _ in range(e):
+        product = mat_mul(product, a)
+    return product
+
+
 def _cofactor_adjugate(a):
     """adj(a) from cofactor minors, independent of Faddeev-LeVerrier."""
     n = a.rows
@@ -148,6 +156,17 @@ class TestMatPow:
     @settings(max_examples=40)
     def test_additivity_for_unimodular(self, m, n):
         assert mat_pow(Q4, m + n) == mat_mul(mat_pow(Q4, m), mat_pow(Q4, n))
+
+    @given(unimodular_matrices(), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_repeated_product_and_inverse(self, a, e):
+        assert mat_pow(a, e) == _repeated_product(a, e)
+        assert mat_mul(mat_pow(a, -e), mat_pow(a, e)) == IntMatrix.identity(a.rows)
+
+    @given(square_matrices(max_size=4, bound=9), st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_product_any_matrix(self, a, e):
+        assert mat_pow(a, e) == _repeated_product(a, e)
 
 
 class TestDet:
@@ -264,6 +283,34 @@ class TestPolynomial:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             Polynomial((1, 1)) ** -1
+        with pytest.raises(ValueError):
+            pow(Polynomial((1, 1)), -1, Polynomial((1, 1)))
+
+    def test_remainder(self):
+        fib = Polynomial((-1, -1, 1))   # x^2 - x - 1
+        assert Polynomial((0, 0, 0, 0, 1)) % fib == Polynomial((2, 3))   # x^4 = 3x + 2
+        assert Polynomial((5, 7)) % fib == Polynomial((5, 7))
+        assert Polynomial((5, 7)) % Polynomial((1,)) == Polynomial(())
+        assert pow(Polynomial((0, 1)), 10, fib) == Polynomial((34, 55))   # F(9), F(10)
+
+    def test_remainder_needs_monic_divisor(self):
+        with pytest.raises(ValueError):
+            Polynomial((1, 2, 3)) % Polynomial((1, 2))
+        with pytest.raises(ValueError):
+            Polynomial((1, 2, 3)) % Polynomial(())
+
+    @given(
+        st.lists(st.integers(-9, 9), max_size=6),
+        st.lists(st.integers(-9, 9), max_size=5),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_modular_power_matches_power_then_remainder(self, p, low, e):
+        chi = Polynomial(tuple(low) + (1,))   # monic, of any degree 0..5
+        p = Polynomial(tuple(p))
+        reduced = pow(p, e, chi)
+        assert reduced == p**e % chi
+        assert len(reduced.coeffs) < len(chi.coeffs)
 
     def test_str(self):
         assert str(Polynomial((-1, 1, 2, -3, 1))) == "x^4 - 3*x^3 + 2*x^2 + x - 1"

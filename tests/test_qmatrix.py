@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hyperfib.cassini import build_window
-from hyperfib.exact_linalg import IntMatrix, det
+from hyperfib.exact_linalg import IntMatrix, det, mat_mul
 from hyperfib.qmatrix import (
     QMatrix,
     build_q,
@@ -11,7 +11,7 @@ from hyperfib.qmatrix import (
     q_closed_tail,
     reconstruct,
 )
-from hyperfib.sequences import hyperfib, sequence
+from hyperfib.sequences import HyperfibSequence, hyperfib, sequence
 
 
 class TestBuildQ:
@@ -87,6 +87,31 @@ class TestReconstruct:
     def test_equals_direct_window(self, r):
         for n in range(-10, 41):
             assert reconstruct(r, n) == build_window(r + 2, n, r), (r, n)
+
+    @pytest.mark.parametrize("r", range(0, 17))
+    def test_q_steps_the_window(self, r):
+        # reconstruct takes the window at i as Q^i times the window at 0
+        # without multiplying by Q; this ties Q itself to that step
+        q = build_q(r).matrix
+        for i in range(r + 2):
+            assert mat_mul(q, build_window(r + 2, i, r)) == build_window(r + 2, i + 1, r), i
+
+    @pytest.mark.parametrize("r", [0, 1, 5, 12])
+    @pytest.mark.parametrize("n", [10**4, -10**4])
+    def test_reads_the_closed_form_only_at_zero(self, monkeypatch, r, n):
+        # so matpow stays an oracle independent of the closed form at n
+        seeds = []
+        actual = HyperfibSequence._seed
+
+        def recorded(self, start):
+            seeds.append(start)
+            return actual(self, start)
+
+        monkeypatch.setattr(HyperfibSequence, "_seed", recorded)
+        window = reconstruct(r, n)
+        assert seeds and set(seeds) == {0}
+        monkeypatch.undo()
+        assert window == build_window(r + 2, n, r)
 
 
 class TestInferRecurrence:
