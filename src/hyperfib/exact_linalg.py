@@ -162,17 +162,38 @@ def _bareiss(m: list[list[int]]) -> int:
                     break
             else:
                 return 0   # column has no pivot below the diagonal
-        pivot = m[k][k]
-        rowk = m[k]
-        for i in range(k + 1, n):
-            rowi = m[i]
-            lead = rowi[k]
-            for j in range(k + 1, n):
-                # exact by the Bareiss minor identity
-                rowi[j] = (pivot * rowi[j] - lead * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
+        prev = _eliminate(m, k, prev)
     return sign * m[n - 1][n - 1]
+
+
+def _eliminate(m: list[list[int]], k: int, prev: int) -> int:
+    # one Bareiss step on the nonzero pivot m[k][k], which it returns
+    pivot, rowk = m[k][k], m[k]
+    for rowi in m[k + 1:]:
+        lead = rowi[k]
+        for j in range(k + 1, len(rowk)):
+            # exact by the Bareiss minor identity
+            rowi[j] = (pivot * rowi[j] - lead * rowk[j]) // prev
+        rowi[k] = 0
+    return pivot
+
+
+def _leading_dets(rows: list[list[int]], first: int) -> list[int]:
+    """det of each leading j x j block of the square rows, j = first..len(rows).
+
+    One pass: Bareiss runs without row swaps while its pivot is nonzero, for
+    at most first-1 steps.  If it stops after s steps with last pivot p (1
+    when s = 0), Sylvester's identity (Bareiss, Math. Comp. 22, 1968) makes
+    the t x t top-left corner of the remaining block det_(s+t) * p^(t-1), so
+    each det_j is that corner's determinant divided exactly by p^(t-1),
+    t = j - s.  Needs first >= 1; the rows are overwritten.
+    """
+    s, prev = 0, 1
+    while s < first - 1 and rows[s][s]:
+        prev = _eliminate(rows, s, prev)
+        s += 1
+    return [_exact_div(_bareiss([row[s:j] for row in rows[s:j]]), prev ** (j - s - 1))
+            for j in range(first, len(rows) + 1)]
 
 
 def _cofactor(rows: list[list[int]]) -> int:

@@ -8,7 +8,9 @@ back-substitution against the terms around index 0 (where every generation
 has a long run of zeros); ``infer_recurrence`` re-derives them generically
 as the minimal recurrence fitting a prefix, giving an independent
 cross-check, and the last three weights also have closed forms.  Powers Q^n,
-as x^n mod the characteristic polynomial, give the windows at any index n.
+as x^n mod the characteristic polynomial, give the windows at any index n,
+and the matpow term strategy reads single terms from the same sum, with
+the weights and the terms it weights taken from one run at index 0.
 """
 
 from __future__ import annotations
@@ -40,18 +42,22 @@ def build_q(r: int) -> QMatrix:
 
         q_j = F(r+4-j) - sum_{i=j+1..r+2} F(i-j+1) * q_i
     """
-    f = sequence(r).terms(0, r + 4)
     k = r + 2
-    q = [0] * (k + 1)   # 1-indexed
-    q[k] = f[2]
-    for j in range(k - 1, 0, -1):
-        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
-    weights = tuple(q[1:])
+    weights = _weights(sequence(r).terms(0, r + 4), k)
     entries = []
     for i in range(k - 1):
         entries.extend(1 if j == i + 1 else 0 for j in range(k))
     entries.extend(weights)
     return QMatrix(r, weights, IntMatrix(k, k, tuple(entries)))
+
+
+def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
+    # build_q's back-substitution for q_1..q_k from f = F_r(0..), k = r+2
+    q = [0] * (k + 1)   # 1-indexed
+    q[k] = f[2]
+    for j in range(k - 1, 0, -1):
+        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
+    return tuple(q[1:])
 
 
 def q_closed_tail(r: int) -> tuple[int, int, int]:
@@ -73,11 +79,18 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     only Q's weights and the run F_r(0..3r+3) are read.  Negative n works
     because q_1 = +-1 makes Q unimodular.
     """
-    q, k = build_q(r).q, r + 2
+    k = r + 2
+    return hankel(_power_terms(r, n, 2 * k - 1), k)
+
+
+def _power_terms(r: int, n: int, count: int) -> list[int]:
+    # F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi, from one run
+    # at 0 that also gives the weights: the closed form is seeded only at 0
+    k = r + 2
+    run = sequence(r).terms(0, max(k + 2, k + count - 1))
+    q = _weights(run, k)
     p = _x_pow_mod(n, Polynomial(tuple(-x for x in q) + (1,))).coeffs
-    run = sequence(r).terms(0, 3 * k - 2)
-    return hankel([sum(c * run[i + j] for i, c in enumerate(p))
-                   for j in range(2 * k - 1)], k)
+    return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
 
 
 Coefficient = Union[int, Fraction]

@@ -132,7 +132,7 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     if strategy is Strategy.MATRIX_POWER:
         from . import qmatrix   # deferred: qmatrix builds on this module
 
-        return qmatrix.reconstruct(r, n).get(0, 0)
+        return qmatrix._power_terms(r, n, 1)[0]
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 

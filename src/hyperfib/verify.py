@@ -1,9 +1,11 @@
 """Verification sweeps over the library's determinant and recurrence identities.
 
 Each suite brute-forces one family of claims over a caller-chosen range and
-reports every case that disagrees.  Suites are deterministic; the one
-randomized suite (general) draws from a seeded generator so runs are
-reproducible.
+reports every case that disagrees.  A case is one claim at one input, even
+where a suite shares work between cases: the zero suite gets its four
+oversized windows at each start from one elimination.  Suites are
+deterministic; the one randomized suite (general) draws from a seeded
+generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .cassini import SecondOrderPair, general_cassini_walk, hankel, predicted_sign
-from .exact_linalg import Polynomial, char_poly, det
+from .exact_linalg import Polynomial, _leading_dets, char_poly, det
 from .qmatrix import build_q
 from .sequences import Strategy, hyperfib, sequence
 
@@ -42,20 +44,13 @@ class VerifyReport:
         return not self.failures
 
 
-def _windows(r, sizes, n_min, n_max):
-    # (m, n, matrix) for every window size and start of generation r, all
-    # cut from one run of terms
-    run = sequence(r).terms(n_min, n_max + 2 * sizes[-1] - 1)
-    for m in sizes:
-        for i, n in enumerate(range(n_min, n_max + 1)):
-            yield m, n, hankel(run[i:i + 2 * m - 1], m)
-
-
 def _suite_cassini(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(1, r_max + 1):
-        for _, n, window in _windows(r, range(r + 2, r + 3), n_min, n_max):
-            d, predicted = det(window), predicted_sign(r, n)
+        m = r + 2
+        run = sequence(r).terms(n_min, n_max + 2 * m - 1)
+        for i, n in enumerate(range(n_min, n_max + 1)):
+            d, predicted = det(hankel(run[i:i + 2 * m - 1], m)), predicted_sign(r, n)
             cases += 1
             if d != predicted:
                 failures.append(Failure(f"r={r} n={n}", d, predicted))
@@ -73,13 +68,19 @@ def _suite_qdet(r_max, n_min, n_max, rng):
 
 
 def _suite_zero(r_max, n_min, n_max, rng):
+    # the windows of sizes r+3..r+6 at n are the leading blocks of the
+    # (r+6)-window at n, so one elimination per n gives all four
     cases, failures = 0, []
     for r in range(0, r_max + 1):
-        for m, n, window in _windows(r, range(r + 3, r + 7), n_min, n_max):
-            d = det(window)
-            cases += 1
-            if d != 0:
-                failures.append(Failure(f"m={m} n={n} r={r}", d, 0))
+        m = r + 6
+        run = sequence(r).terms(n_min, n_max + 2 * m - 1)
+        dets = [_leading_dets([run[i + a:i + a + m] for a in range(m)], r + 3)
+                for i in range(n_max - n_min + 1)]
+        for size, column in enumerate(zip(*dets), r + 3):
+            for n, d in zip(range(n_min, n_max + 1), column):
+                cases += 1
+                if d != 0:
+                    failures.append(Failure(f"m={size} n={n} r={r}", d, 0))
     return cases, failures
 
 

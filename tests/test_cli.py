@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import hyperfib.cli as cli
 import hyperfib.verify as verification
+from hyperfib.cassini import hankel
 from hyperfib.cli import main
+from hyperfib.exact_linalg import det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
 
@@ -451,6 +453,31 @@ class TestVerifyModule:
         assert report.failures == tuple(
             Failure(f"r=1 n={n} {name}", value, value + 1) for name in failing
         )
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_zero_suite_reports_each_window_over_a_bad_term(self, monkeypatch, bad):
+        # one term of generation 2's run is off, inside (-1) or past (5) its
+        # zero run; each oversized window holding it fails with its own
+        # determinant, sizes outer and starts inner, unless that is still 0
+        class Rigged(verification.sequence):
+            def terms(self, start, stop):
+                values = super().terms(start, stop)
+                if self.r == 2 and start <= bad < stop:
+                    values[bad - start] += 7
+                return values
+
+        monkeypatch.setattr(verification, "sequence", Rigged)
+        [report] = verify_all(2, -6, 6, ["zero"])
+        expected = []
+        for m in range(5, 9):
+            for n in range(-6, 7):
+                if n <= bad <= n + 2 * m - 2:
+                    d = det(hankel(Rigged(2).terms(n, n + 2 * m - 1), m))
+                    if d:
+                        expected.append(Failure(f"m={m} n={n} r=2", d, 0))
+        assert report.cases == 3 * 4 * 13
+        assert len(expected) > 10
+        assert report.failures == tuple(expected)
 
     def test_seed_determinism(self):
         first = verify_all(1, 0, 1, ["general"], seed=99)

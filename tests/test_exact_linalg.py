@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperfib.cassini import build_window
 from hyperfib.exact_linalg import (
     IntMatrix,
     Polynomial,
+    _leading_dets,
     adjugate_inverse,
     char_poly,
     det,
@@ -216,6 +218,38 @@ class TestDet:
         a = IntMatrix(n, n, tuple(data.draw(ents)))
         b = IntMatrix(n, n, tuple(data.draw(ents)))
         assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+def _sparse_rows(draw, n):
+    # mostly zeros, so a pivot often vanishes partway through the elimination
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-50, 50))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+
+
+class TestLeadingDets:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_leading_block(self, data):
+        n = data.draw(st.integers(1, 7))
+        rows = _sparse_rows(data.draw, n)
+        first = data.draw(st.integers(1, n))
+        blocks = [IntMatrix.from_rows([row[:j] for row in rows[:j]])
+                  for j in range(first, n + 1)]
+        dets = _leading_dets(rows, first)   # overwrites rows, read above
+        assert dets == [det(b) for b in blocks]
+        assert all(d == det(b, method="cofactor")
+                   for d, b in zip(dets, blocks) if b.rows <= 6)
+
+    @pytest.mark.parametrize("r", range(0, 9))
+    def test_hankel_windows_around_the_zero_run(self, r):
+        # windows that start in or next to the zero run -r..0 have vanishing
+        # first pivots, so the pass stops early or at once
+        m = r + 6
+        for n in range(-r - 2, 3):
+            rows = build_window(m, n, r).to_rows()
+            for first in range(1, m + 1):
+                assert _leading_dets([list(row) for row in rows], first) == [
+                    det(build_window(j, n, r)) for j in range(first, m + 1)], (n, first)
 
 
 class TestAdjugateInverse:

@@ -11,7 +11,7 @@ from hyperfib.qmatrix import (
     q_closed_tail,
     reconstruct,
 )
-from hyperfib.sequences import HyperfibSequence, hyperfib, sequence
+from hyperfib.sequences import HyperfibSequence, Strategy, hyperfib, sequence
 
 
 class TestBuildQ:
@@ -110,8 +110,17 @@ class TestReconstruct:
         monkeypatch.setattr(HyperfibSequence, "_seed", recorded)
         window = reconstruct(r, n)
         assert seeds and set(seeds) == {0}
+        seeds.clear()
+        value = hyperfib(r, n, Strategy.MATRIX_POWER)
+        assert seeds and set(seeds) == {0}
         monkeypatch.undo()
         assert window == build_window(r + 2, n, r)
+        assert value == sequence(r).term(n)
+
+    @pytest.mark.parametrize("r", range(0, 17))
+    def test_matpow_term_is_the_top_left_entry(self, r):
+        for n in [-10**4, *range(-50, 51), 10**4]:
+            assert hyperfib(r, n, Strategy.MATRIX_POWER) == reconstruct(r, n).get(0, 0), n
 
 
 class TestInferRecurrence:
