@@ -50,7 +50,10 @@ def _style(text: str, ok: bool) -> str:
 
 
 def cmd_term(args) -> int:
-    value = hyperfib(args.r, args.n, Strategy(args.strategy))
+    if args.strategy is None:
+        value = sequence(args.r).term(args.n)   # the closed form
+    else:
+        value = hyperfib(args.r, args.n, Strategy(args.strategy))
     _emit(args.format,
           lambda: {"r": args.r, "n": args.n, "value": _text(value)},
           [[value]])
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_nonneg, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strategy", choices=[s.value for s in Strategy],
-                   default="recurrence")
+                   help="evaluate by this route instead of the closed form")
     _add_format(p)
     p.set_defaults(func=cmd_term)
 

@@ -1,11 +1,15 @@
-"""Dense exact integer linear algebra.
+"""Dense exact integer linear algebra on square matrices.
 
-Matrices hold arbitrary-precision Python ints and never touch floating
-point.  Determinants use fraction-free (Bareiss) elimination whose interior
+Every matrix of the paper is square, the companion (Q-) matrix and the
+Hankel windows alike, so ``IntMatrix`` is square by construction.  Entries
+are arbitrary-precision Python ints and never touch floating point.
+Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
-(Cayley-Hamilton), for negative e too when a is unimodular.
+(Cayley-Hamilton), for negative e too when a is unimodular.  ``Polynomial``
+offers only what that needs: products, remainders by a monic divisor,
+powers (modular ones through three-argument ``pow``) and text.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable row-major matrix of integers."""
+    """Immutable row-major square matrix of integers; rows must equal cols."""
 
     rows: int
     cols: int
@@ -71,6 +75,8 @@ class IntMatrix:
         for e in self.entries:
             if not isinstance(e, int):
                 raise TypeError(f"non-integer entry: {e!r}")
+        if self.rows != self.cols:
+            raise ValueError(f"matrix must be square, not {self.rows}x{self.cols}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
@@ -94,35 +100,28 @@ class IntMatrix:
         return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def trace(self) -> int:
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
         return sum(self.get(i, i) for i in range(self.rows))
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     def __str__(self) -> str:
         return "\n".join(" ".join(to_decimal(x) for x in row) for row in self.to_rows())
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact matrix product."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    n, k, m = a.rows, a.cols, b.cols
+    """Exact product of two matrices of the same size."""
+    n = a.rows
+    if b.rows != n:
+        raise ValueError(f"size mismatch: {n}x{n} times {b.rows}x{b.rows}")
     ae, be = a.entries, b.entries
-    bcols = [be[j::m] for j in range(m)]
+    bcols = [be[j::n] for j in range(n)]
     out = []
     for i in range(n):
-        arow = ae[i * k:(i + 1) * k]
+        arow = ae[i * n:(i + 1) * n]
         out.extend(sum(x * y for x, y in zip(arow, bcol)) for bcol in bcols)
-    return IntMatrix(n, m, tuple(out))
+    return IntMatrix(n, n, tuple(out))
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     """a**e as sum p_i a^i, p = x^e mod char_poly(a); e < 0 needs det(a) = +-1."""
-    if not a.is_square():
-        raise ValueError("matrix power needs a square matrix")
     total, power = [0] * a.rows ** 2, IntMatrix.identity(a.rows)
     for i, c in enumerate(_x_pow_mod(e, char_poly(a)).coeffs):
         power = mat_mul(power, a) if i else power
@@ -136,8 +135,6 @@ def det(a: IntMatrix, method: str = "bareiss") -> int:
     "bareiss" is the fraction-free elimination used everywhere; "cofactor"
     is the independent test oracle and is limited to matrices up to 6x6.
     """
-    if not a.is_square():
-        raise ValueError("determinant needs a square matrix")
     if method == "bareiss":
         return _bareiss(a.to_rows())
     if method == "cofactor":
@@ -149,8 +146,6 @@ def det(a: IntMatrix, method: str = "bareiss") -> int:
 
 def _bareiss(m: list[list[int]]) -> int:
     n = len(m)
-    if n == 0:
-        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -197,10 +192,7 @@ def _leading_dets(rows: list[list[int]], first: int) -> list[int]:
 
 
 def _cofactor(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
     total = 0
     for j, x in enumerate(rows[0]):
@@ -218,7 +210,11 @@ def adjugate_inverse(a: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Integer polynomial; coefficients ascending by degree, normalized."""
+    """Integer polynomial; coefficients ascending by degree, normalized.
+
+    Supports ``*``, ``%`` by a monic divisor, ``**``, ``pow(p, e, chi)``
+    and ``str``; the zero polynomial has no coefficients.
+    """
 
     coeffs: tuple[int, ...]
 
@@ -231,27 +227,7 @@ class Polynomial:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, x in enumerate(b):
-            merged[i] += x
-        return Polynomial(tuple(merged))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self or not other:
-            return Polynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x:
@@ -312,8 +288,6 @@ def char_poly(a: IntMatrix) -> Polynomial:
     M_1 = I, c_(n-k) = -tr(a M_k) / k and M_(k+1) = a M_k + c_(n-k) I; every
     division by k is exact because the coefficients are integers.
     """
-    if not a.is_square():
-        raise ValueError("characteristic polynomial needs a square matrix")
     n = a.rows
     coeffs = [0] * n + [1]
     m = IntMatrix.identity(n)

@@ -103,6 +103,29 @@ class TestTerm:
             assert code == 0
             assert out == "12\n"
 
+    def test_default_is_every_strategy(self, capsys):
+        # with no --strategy, term reads the closed form; it prints what
+        # each strategy defined at (r, n) gives
+        for r in range(7):
+            for n in range(-30, 61):
+                out = run(capsys, "term", "--r", str(r), "--n", str(n))
+                strategies = list(Strategy)[n < 0:]   # prefix needs n >= 0
+                assert out == (0, f"{hyperfib(r, n, strategies[0])}\n", ""), (r, n)
+                assert len({hyperfib(r, n, s) for s in strategies}) == 1, (r, n)
+        big = ["term", "--r", "3", "--n", "-100000"]
+        assert run(capsys, *big) == run(capsys, *big, "--strategy", "recurrence")
+        for fmt in ("plain", "json", "csv"):
+            assert run(capsys, *big, "--format", fmt) == run(
+                capsys, *big, "--format", fmt, "--strategy", "matpow"), fmt
+
+    def test_default_calls_no_strategy(self, capsys, monkeypatch):
+        def raising(*args):
+            raise AssertionError("the default route called hyperfib")
+
+        monkeypatch.setattr(cli, "hyperfib", raising)
+        assert run(capsys, "term", "--r", "3", "--n", "-20") == (0, "-515\n", "")
+        assert run(capsys, "term", "--r", "2", "--n", "9") == (0, "221\n", "")
+
     def test_negative_index(self, capsys):
         code, out, _ = run(capsys, "term", "--r", "1", "--n", "-2")
         assert code == 0
@@ -363,7 +386,8 @@ class TestUsage:
             raise exc
 
         monkeypatch.setattr(cli, "hyperfib", raising)
-        assert run(capsys, "term", "--r", "1", "--n", "5") == (code, "", err)
+        assert run(capsys, "term", "--r", "1", "--n", "5",
+                   "--strategy", "recurrence") == (code, "", err)
 
     def test_closed_pipe_exits_quietly(self):
         # the reader takes one line and leaves; the rest of the run (about

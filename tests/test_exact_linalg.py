@@ -93,17 +93,21 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    def test_square_by_construction(self):
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix(2, 3, (1, 2, 3, 4, 5, 6))
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            IntMatrix(1, 2, (1, 0.5))
+            IntMatrix(1, 2, (1, 0.5))   # the entry check comes before the shape
 
     def test_accessors(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert m.get(1, 2) == 6
-        assert m.to_rows() == [[1, 2, 3], [4, 5, 6]]
-        assert not m.is_square()
-        with pytest.raises(ValueError):
-            m.trace()
+        assert m.to_rows() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert m.trace() == 15
 
     def test_str(self):
         assert str(IntMatrix.from_rows([[1, -2], [0, 3]])) == "1 -2\n0 3"
@@ -310,9 +314,11 @@ class TestPolynomial:
         p = Polynomial((1, 1))          # 1 + x
         q = Polynomial((-1, 1))         # x - 1
         assert p * q == Polynomial((-1, 0, 1))
-        assert p + q == Polynomial((0, 2))
-        assert p - p == Polynomial(())
         assert q ** 3 == Polynomial((-1, 3, -3, 1))
+
+    def test_empty_factor(self):
+        p, zero = Polynomial((1, 1)), Polynomial(())
+        assert zero * p == p * zero == zero * zero == zero
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -368,12 +374,14 @@ def _poly_det(rows):
     """Cofactor determinant over polynomial entries; the char_poly oracle."""
     if len(rows) == 1:
         return rows[0][0]
-    total = Polynomial(())
+    total = []
     for j, entry in enumerate(rows[0]):
         minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * _poly_det(minor)
-        total = total - term if j % 2 else total + term
-    return total
+        term = (entry * _poly_det(minor)).coeffs
+        total += [0] * (len(term) - len(total))
+        for k, c in enumerate(term):
+            total[k] += -c if j % 2 else c
+    return Polynomial(tuple(total))
 
 
 class TestCharPoly:

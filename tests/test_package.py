@@ -3,7 +3,9 @@ import contextlib
 import io
 import re
 import shlex
+import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,19 @@ from hyperfib.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+
+FAILING_PROPERTY = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
 
 
 def _cli_examples():
@@ -61,3 +76,44 @@ def test_readme_cli_examples(argv, shown):
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     assert re.fullmatch(pattern, mask(out.getvalue())), out.getvalue()
+
+
+def _library_example():
+    """The python block under "## Library": (statement, trailing comment) pairs."""
+    library = README.read_text().split("## Library", 1)[1]
+    source = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    trailing = {}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT and tok.line[:tok.start[1]].strip():
+            trailing[tok.start[0]] = tok.string[1:].strip()
+    return [(stmt, trailing.get(stmt.end_lineno)) for stmt in ast.parse(source).body]
+
+
+def test_readme_library_example():
+    # a trailing comment that is a Python literal is the value shown for
+    # its expression; any other statement only has to run
+    namespace, checked = {}, 0
+    for stmt, comment in _library_example():
+        try:
+            shown = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):   # no comment, or prose
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), ast.unparse(stmt)
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert value == shown, ast.unparse(stmt)
+        checked += 1
+    assert checked >= 10
+
+
+def test_failing_property_does_not_abort_the_run(tmp_path):
+    # a failing @given test reports through hypothesis, whose report hook
+    # imports a module that warns on import; the project's warnings-as-errors
+    # setting must not turn that into an internal error that ends the run
+    (tmp_path / "test_probe.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
