@@ -84,8 +84,9 @@ def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[in
     """general_cassini(pair, m) for m = 1..m_max, from one walk of the pair."""
     a_prev, a_cur = pair.a0, pair.a1
     b_prev, b_cur = pair.b0, pair.b1
-    for m in range(1, m_max + 1):
-        yield (a_cur * b_prev - a_prev * b_cur,
-               (-pair.beta) ** (m - 1) * (pair.a1 * pair.b0 - pair.a0 * pair.b1))
+    rhs, step = pair.a1 * pair.b0 - pair.a0 * pair.b1, -pair.beta
+    for _ in range(m_max):
+        yield a_cur * b_prev - a_prev * b_cur, rhs
+        rhs *= step
         a_prev, a_cur = a_cur, pair.alpha * a_cur + pair.beta * a_prev
         b_prev, b_cur = b_cur, pair.alpha * b_cur + pair.beta * b_prev

@@ -10,6 +10,7 @@ input error or out of memory, 130 interrupted, 141 stdout closed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,6 +212,7 @@ def _add_format(parser) -> None:
     parser.add_argument("--format", choices=["plain", "json", "csv"], default="plain")
 
 
+@functools.cache   # argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperfib",

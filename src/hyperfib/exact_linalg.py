@@ -7,14 +7,15 @@ Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
-(Cayley-Hamilton), for negative e too when a is unimodular.  ``Polynomial``
-offers only what that needs: products, remainders by a monic divisor,
-powers (modular ones through three-argument ``pow``) and text.
+(Cayley-Hamilton), for negative e too when a is unimodular; one kernel
+computes p on a plain list of coefficients.  ``Polynomial`` carries chi and
+p and offers only products, powers and text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -116,7 +117,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     out = []
     for i in range(n):
         arow = ae[i * n:(i + 1) * n]
-        out.extend(sum(x * y for x, y in zip(arow, bcol)) for bcol in bcols)
+        out.extend(sum(map(mul, arow, bcol)) for bcol in bcols)
     return IntMatrix(n, n, tuple(out))
 
 
@@ -212,8 +213,8 @@ def adjugate_inverse(a: IntMatrix) -> IntMatrix:
 class Polynomial:
     """Integer polynomial; coefficients ascending by degree, normalized.
 
-    Supports ``*``, ``%`` by a monic divisor, ``**``, ``pow(p, e, chi)``
-    and ``str``; the zero polynomial has no coefficients.
+    Supports ``*``, ``**`` and ``str``; the zero polynomial has no
+    coefficients.
     """
 
     coeffs: tuple[int, ...]
@@ -235,28 +236,16 @@ class Polynomial:
                     out[i + j] += x * y
         return Polynomial(tuple(out))
 
-    def __mod__(self, divisor: "Polynomial") -> "Polynomial":
-        """Remainder by a monic divisor, exact over the integers."""
-        d = divisor.coeffs
-        if not d or d[-1] != 1:
-            raise ValueError("remainder needs a monic divisor")
-        out, k = list(self.coeffs), len(d) - 1
-        for top in range(len(out) - 1, k - 1, -1):
-            for i in range(k):
-                out[top - k + i] -= out[top] * d[i]
-        return Polynomial(tuple(out[:k]))
-
-    def __pow__(self, e: int, mod: "Polynomial | None" = None) -> "Polynomial":
+    def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("polynomial power must be >= 0")
-        reduce = (lambda p: p) if mod is None else (lambda p: p % mod)
-        result, base = reduce(Polynomial((1,))), reduce(self)
+        result, base = Polynomial((1,)), self
         while e:
             if e & 1:
-                result = reduce(result * base)
+                result = result * base
             e >>= 1
             if e:
-                base = reduce(base * base)
+                base = base * base
         return result
 
     def __str__(self) -> str:
@@ -302,12 +291,41 @@ def char_poly(a: IntMatrix) -> Polynomial:
 def _x_pow_mod(e: int, chi: Polynomial) -> Polynomial:
     """x^e mod the monic chi, for any integer e.
 
-    With chi = x*h + c_0, x*h = -c_0 mod chi, so when c_0 = +-1 (for
-    chi = det(xI - a): when a is unimodular) x^-1 = -c_0 * h mod chi.
+    Walks the bits of |e| from the top on a list of deg(chi) coefficients:
+    each step squares it (symmetric products, k(k+1)/2 multiplies for
+    k = deg(chi)) and reduces by chi, and a 1 bit multiplies by x, or by
+    x^-1 when e < 0, each an O(k) shift and reduce.  With chi = x*h + c_0,
+    x*h = -c_0 mod chi, so when c_0 = +-1 (for chi = det(xI - a): when a is
+    unimodular) x^-1 = -c_0 * h mod chi.
     """
     c = chi.coeffs
-    if e >= 0:
-        return pow(Polynomial((0, 1)), e, chi)
-    if c[0] not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {(-1) ** (len(c) - 1) * c[0]})")
-    return pow(Polynomial(tuple(-c[0] * x for x in c[1:])), -e, chi)
+    if not c or c[-1] != 1:
+        raise ValueError("remainder needs a monic divisor")
+    k = len(c) - 1
+    if e < 0 and c[0] not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c[0]})")
+    if k == 0:
+        return Polynomial(())   # everything is 0 mod 1
+    p = [1] + [0] * (k - 1)
+    for bit in bin(abs(e))[2:]:
+        sq = [0] * (2 * k - 1)
+        for i, a in enumerate(p):   # p^2 by symmetric products
+            if a:
+                sq[2 * i] += a * a
+                a2 = 2 * a
+                for j in range(i + 1, k):
+                    sq[i + j] += a2 * p[j]
+        for top in range(2 * k - 2, k - 1, -1):   # x^k = -sum c_i x^i
+            t = sq[top]
+            if t:
+                for i in range(k):
+                    sq[top - k + i] -= t * c[i]
+        p = sq[:k]
+        if bit == "1":
+            if e > 0:   # x * p, then x^k = -sum c_i x^i
+                t = p.pop()
+                p = [x - t * ci for x, ci in zip([0] + p, c)]
+            else:       # p_0 * x^-1 + (p - p_0) / x
+                t = -c[0] * p[0]
+                p = [x + t * ci for x, ci in zip(p[1:] + [0], c[1:])]
+    return Polynomial(tuple(p))

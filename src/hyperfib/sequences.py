@@ -26,6 +26,7 @@ arithmetic is plain Python int, so results are exact at any size.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -143,10 +144,7 @@ def _prefix_sum(r: int, n: int) -> int:
         row.append(a)
         a, b = b, a + b
     for _ in range(r):
-        total = 0
-        for i, v in enumerate(row):
-            total += v
-            row[i] = total
+        row = list(accumulate(row))
     return row[n]
 
 

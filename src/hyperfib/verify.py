@@ -2,10 +2,11 @@
 
 Each suite brute-forces one family of claims over a caller-chosen range and
 reports every case that disagrees.  A case is one claim at one input, even
-where a suite shares work between cases: the zero suite gets its four
-oversized windows at each start from one elimination.  Suites are
-deterministic; the one randomized suite (general) draws from a seeded
-generator so runs are reproducible.
+where a suite shares work between cases: the zero suite decides its four
+oversized windows at each start from the residual of the run under the
+characteristic polynomial, and eliminates only where that is nonzero, once
+for all four.  Suites are deterministic; the one randomized suite (general)
+draws from a seeded generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .cassini import SecondOrderPair, general_cassini_walk, hankel, predicted_sign
@@ -44,6 +46,11 @@ class VerifyReport:
         return not self.failures
 
 
+def _chi(r: int) -> Polynomial:
+    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
+    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
+
+
 def _suite_cassini(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(1, r_max + 1):
@@ -68,20 +75,35 @@ def _suite_qdet(r_max, n_min, n_max, rng):
 
 
 def _suite_zero(r_max, n_min, n_max, rng):
-    # the windows of sizes r+3..r+6 at n are the leading blocks of the
-    # (r+6)-window at n, so one elimination per n gives all four
     cases, failures = 0, []
     for r in range(0, r_max + 1):
-        m = r + 6
-        run = sequence(r).terms(n_min, n_max + 2 * m - 1)
-        dets = [_leading_dets([run[i + a:i + a + m] for a in range(m)], r + 3)
-                for i in range(n_max - n_min + 1)]
-        for size, column in enumerate(zip(*dets), r + 3):
+        run = sequence(r).terms(n_min, n_max + 2 * (r + 6) - 1)
+        for size, column in enumerate(zip(*_oversized_dets(run, r)), r + 3):
             for n, d in zip(range(n_min, n_max + 1), column):
                 cases += 1
                 if d != 0:
                     failures.append(Failure(f"m={size} n={n} r={r}", d, 0))
     return cases, failures
+
+
+def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
+    """dets of the Hankel windows of sizes r+3..r+6 at each start of the run.
+
+    With chi = ``_chi(r)``, monic of degree k = r+2, the column
+    operation C_k += sum_(t<k) chi_t C_t is unit-triangular and leaves
+    e(i+a) = sum_t chi_t run[i+a+t] in row a of column k, inside every
+    window of size > k at start i.  Where e is zero on i..i+r+5 each of the
+    four windows has a zero column, so its determinant is exactly 0; at any
+    other start the windows are the leading blocks of the (r+6)-window, and
+    one elimination gives all four (``_leading_dets``).  The result is
+    exact for any run; only the speed rests on chi annihilating it.
+    """
+    m, k = r + 6, r + 2
+    chi = _chi(r).coeffs
+    e = [sum(map(mul, chi, run[s:s + k + 1])) for s in range(len(run) - k)]
+    return [[0] * 4 if not any(e[i:i + m]) else
+            _leading_dets([run[i + a:i + a + m] for a in range(m)], k + 1)
+            for i in range(len(run) - 2 * m + 2)]
 
 
 def _suite_crosscheck(r_max, n_min, n_max, rng):
@@ -112,12 +134,10 @@ def _suite_general(r_max, n_min, n_max, rng):
 
 
 def _suite_charpoly(r_max, n_min, n_max, rng):
-    fib_factor = Polynomial((-1, -1, 1))    # x^2 - x - 1
-    shift = Polynomial((-1, 1))             # x - 1
     cases, failures = 0, []
     for r in range(0, r_max + 1):
         computed = char_poly(build_q(r).matrix)
-        expected = fib_factor * shift**r
+        expected = _chi(r)
         cases += 1
         if computed != expected:
             failures.append(Failure(f"r={r}", computed, expected))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -376,6 +377,24 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # one process, one parser: each call prints what it prints alone,
+        # so no call's options or defaults leak into the next
+        def masked(text):
+            return re.sub(r"\(\d+\.\d\ds\)", "(time)", text)
+
+        for argv in (["term", "--r", "3", "--n", "-7", "--format", "json"],
+                     ["term", "--r", "3", "--n", "-7"],
+                     ["term", "--r", "3", "--format", "csv"],
+                     ["verify", "--r-max", "2", "--n-min", "-3", "--n-max", "3"]):
+            alone = subprocess.run([sys.executable, "-m", "hyperfib", *argv],
+                                   capture_output=True, text=True, env=_child_env(),
+                                   timeout=60)
+            code, out, err = run(capsys, *argv)
+            assert (code, masked(out), err) == (
+                alone.returncode, masked(alone.stdout), alone.stderr), argv
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("exc, code, err", [
         (KeyboardInterrupt, 130, ""),

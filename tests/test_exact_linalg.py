@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfib.cassini import build_window
+import hyperfib.verify as verification
+from hyperfib.cassini import build_window, hankel
 from hyperfib.exact_linalg import (
     IntMatrix,
     Polynomial,
     _leading_dets,
+    _x_pow_mod,
     adjugate_inverse,
     char_poly,
     det,
@@ -16,6 +18,8 @@ from hyperfib.exact_linalg import (
     mat_pow,
 )
 from hyperfib.qmatrix import build_q, reconstruct
+from hyperfib.sequences import sequence
+from hyperfib.verify import _oversized_dets
 
 Q4 = IntMatrix.from_rows([
     [0, 1, 0, 0],
@@ -150,10 +154,6 @@ class TestMatPow:
     def test_inverse_law(self):
         assert mat_mul(mat_pow(Q4, -2), mat_pow(Q4, 2)) == IntMatrix.identity(4)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(IntMatrix(1, 2, (1, 2)), 2)
-
     def test_negative_power_needs_unimodular(self):
         with pytest.raises(ValueError):
             mat_pow(IntMatrix.from_rows([[2, 0], [0, 1]]), -1)
@@ -196,10 +196,6 @@ class TestDet:
     def test_pivot_swap(self):
         m = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert det(m) == -1
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            det(IntMatrix(1, 2, (1, 2)))
 
     def test_cofactor_size_cap(self):
         with pytest.raises(ValueError):
@@ -254,6 +250,72 @@ class TestLeadingDets:
             for first in range(1, m + 1):
                 assert _leading_dets([list(row) for row in rows], first) == [
                     det(build_window(j, n, r)) for j in range(first, m + 1)], (n, first)
+
+
+def _chi(r):
+    """Coefficients of (x^2 - x - 1)(x - 1)^r, ascending."""
+    return (Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r).coeffs
+
+
+def _window_dets(run, r):
+    """det of each window of size r+3..r+6 at each start, one Bareiss each."""
+    return [[det(hankel(run[i:i + 2 * j - 1], j)) for j in range(r + 3, r + 7)]
+            for i in range(len(run) - 2 * (r + 6) + 2)]
+
+
+@st.composite
+def _runs(draw, kind):
+    # (r, run): a run stepped by chi's recurrence from random initial values,
+    # the same with one entry off, or any integers; long enough for 1-4 starts
+    r = draw(st.integers(0, 6))
+    k, length = r + 2, 2 * (r + 6) - 1 + draw(st.integers(0, 3))
+    if kind == "arbitrary":
+        return r, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
+    chi = _chi(r)
+    run = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    while len(run) < length:
+        run.append(-sum(c * x for c, x in zip(chi, run[-k:])))
+    if kind == "perturbed":
+        run[draw(st.integers(0, length - 1))] += draw(st.integers(-3, 3).filter(bool))
+    return r, run
+
+
+class TestOversizedDets:
+    @given(_runs("annihilated"))
+    @settings(max_examples=60, deadline=None)
+    def test_annihilated_runs_need_no_elimination(self, case):
+        r, run = case
+        expected = _window_dets(run, r)
+        assert expected == [[0] * 4] * len(expected)
+
+        def refused(rows, first):
+            raise AssertionError("eliminated a window chi annihilates")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "_leading_dets", refused)
+            assert _oversized_dets(run, r) == expected
+
+    @given(_runs("perturbed"))
+    @settings(max_examples=100, deadline=None)
+    def test_one_perturbed_entry(self, case):
+        r, run = case
+        assert _oversized_dets(run, r) == _window_dets(run, r)
+
+    @given(_runs("arbitrary"))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_runs(self, case):
+        r, run = case
+        assert _oversized_dets(run, r) == _window_dets(run, r)
+
+    @pytest.mark.parametrize("r", range(0, 7))
+    def test_every_single_perturbation(self, r):
+        # the hyperfibonacci run across its zero run, each entry off in turn
+        m = r + 6
+        run = sequence(r).terms(-r - 4, -r - 4 + 2 * m + 2)
+        for p in range(len(run)):
+            bad = list(run)
+            bad[p] += 5
+            assert _oversized_dets(bad, r) == _window_dets(bad, r), p
 
 
 class TestAdjugateInverse:
@@ -323,39 +385,73 @@ class TestPolynomial:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             Polynomial((1, 1)) ** -1
-        with pytest.raises(ValueError):
-            pow(Polynomial((1, 1)), -1, Polynomial((1, 1)))
-
-    def test_remainder(self):
-        fib = Polynomial((-1, -1, 1))   # x^2 - x - 1
-        assert Polynomial((0, 0, 0, 0, 1)) % fib == Polynomial((2, 3))   # x^4 = 3x + 2
-        assert Polynomial((5, 7)) % fib == Polynomial((5, 7))
-        assert Polynomial((5, 7)) % Polynomial((1,)) == Polynomial(())
-        assert pow(Polynomial((0, 1)), 10, fib) == Polynomial((34, 55))   # F(9), F(10)
-
-    def test_remainder_needs_monic_divisor(self):
-        with pytest.raises(ValueError):
-            Polynomial((1, 2, 3)) % Polynomial((1, 2))
-        with pytest.raises(ValueError):
-            Polynomial((1, 2, 3)) % Polynomial(())
-
-    @given(
-        st.lists(st.integers(-9, 9), max_size=6),
-        st.lists(st.integers(-9, 9), max_size=5),
-        st.integers(0, 8),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_modular_power_matches_power_then_remainder(self, p, low, e):
-        chi = Polynomial(tuple(low) + (1,))   # monic, of any degree 0..5
-        p = Polynomial(tuple(p))
-        reduced = pow(p, e, chi)
-        assert reduced == p**e % chi
-        assert len(reduced.coeffs) < len(chi.coeffs)
 
     def test_str(self):
         assert str(Polynomial((-1, 1, 2, -3, 1))) == "x^4 - 3*x^3 + 2*x^2 + x - 1"
         assert str(Polynomial(())) == "0"
         assert str(Polynomial((-5,))) == "-5"
+
+
+def _remainder(coeffs, chi):
+    """coeffs mod the monic chi by long division; the _x_pow_mod oracle."""
+    out, k = list(coeffs), len(chi) - 1
+    for top in range(len(out) - 1, k - 1, -1):
+        t = out[top]
+        for i in range(k + 1):
+            out[top - k + i] -= t * chi[i]
+    return Polynomial(tuple(out[:k]))
+
+
+def _step_powers(step, chi, count):
+    """step^0..step^(count-1) mod chi, one product and long division each."""
+    powers = [_remainder([1], chi)]
+    while len(powers) < count:
+        powers.append(_remainder((powers[-1] * step).coeffs, chi))
+    return powers
+
+
+_FIB = Polynomial((-1, -1, 1))   # x^2 - x - 1
+
+
+class TestXPowMod:
+    def test_worked_powers(self):
+        assert _x_pow_mod(4, _FIB) == Polynomial((2, 3))       # x^4 = 3x + 2
+        assert _x_pow_mod(10, _FIB) == Polynomial((34, 55))    # F(9), F(10)
+        assert _x_pow_mod(-1, _FIB) == Polynomial((-1, 1))     # x^-1 = x - 1
+        assert _x_pow_mod(-10, _FIB) == Polynomial((89, -55))  # F(-11), F(-10)
+        assert _x_pow_mod(0, _FIB) == Polynomial((1,))
+        assert _x_pow_mod(7, Polynomial((1,))) == _x_pow_mod(-7, Polynomial((1,))) == Polynomial(())
+
+    def test_needs_monic_chi(self):
+        with pytest.raises(ValueError, match="monic"):
+            _x_pow_mod(3, Polynomial((1, 2)))
+        with pytest.raises(ValueError, match="monic"):
+            _x_pow_mod(3, Polynomial(()))
+
+    def test_negative_power_needs_unit_constant_term(self):
+        with pytest.raises(ValueError, match=r"not unimodular \(det = 2\)"):
+            _x_pow_mod(-1, Polynomial((2, 0, 1)))
+        with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
+            _x_pow_mod(-3, Polynomial((0, 1, 1, 1)))
+        assert _x_pow_mod(3, Polynomial((2, 0, 1))) == Polynomial((0, -2))
+
+    @given(st.lists(st.integers(-9, 9), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_long_division(self, low):
+        chi = tuple(low) + (1,)   # monic, of any degree 0..6
+        for e, expected in enumerate(_step_powers(Polynomial((0, 1)), chi, 41)):
+            assert _x_pow_mod(e, Polynomial(chi)) == expected, e
+
+    @given(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_negative_powers_invert(self, c0, middle):
+        chi = (c0, *middle, 1)   # degree 1..6, chi(0) = +-1
+        inverse = Polynomial(tuple(-c0 * c for c in chi[1:]))   # -c_0 (chi - c_0) / x
+        one = _remainder([1], chi)
+        for e, expected in enumerate(_step_powers(inverse, chi, 41)):
+            power = _x_pow_mod(-e, Polynomial(chi))
+            assert power == expected, -e
+            assert _remainder((power * _x_pow_mod(e, Polynomial(chi))).coeffs, chi) == one, e
 
 
 def _x_minus(matrix):
@@ -394,10 +490,6 @@ class TestCharPoly:
 
     def test_factorization(self):
         assert char_poly(Q4) == Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** 2
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            char_poly(IntMatrix(1, 2, (1, 2)))
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
