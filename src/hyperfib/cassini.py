@@ -25,7 +25,7 @@ def build_window(m: int, n: int, r: int) -> IntMatrix:
 
 def hankel(terms: Sequence[int], m: int) -> IntMatrix:
     """The m x m Hankel matrix M[i][j] = terms[i+j] of the first 2m-1 terms."""
-    return IntMatrix(m, m, tuple(terms[i + j] for i in range(m) for j in range(m)))
+    return IntMatrix(m, tuple(terms[i + j] for i in range(m) for j in range(m)))
 
 
 def predicted_sign(r: int, n: int) -> int:

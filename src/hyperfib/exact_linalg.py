@@ -62,22 +62,19 @@ def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable row-major square matrix of integers; rows must equal cols."""
+    """Immutable row-major square matrix of integers with ``rows`` rows and columns."""
 
     rows: int
-    cols: int
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+        if self.rows < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
+        if len(self.entries) != self.rows * self.rows:
             raise ValueError("entry count does not match dimensions")
         for e in self.entries:
             if not isinstance(e, int):
                 raise TypeError(f"non-integer entry: {e!r}")
-        if self.rows != self.cols:
-            raise ValueError(f"matrix must be square, not {self.rows}x{self.cols}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
@@ -87,18 +84,20 @@ class IntMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise ValueError("ragged rows")
-        return cls(len(data), width, tuple(x for row in data for x in row))
+        if width != len(data):
+            raise ValueError(f"matrix must be square, not {len(data)}x{width}")
+        return cls(width, tuple(x for row in data for x in row))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls(n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.entries[i * self.rows + j]
 
     def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
+        n = self.rows
+        return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
 
     def trace(self) -> int:
         return sum(self.get(i, i) for i in range(self.rows))
@@ -118,7 +117,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     for i in range(n):
         arow = ae[i * n:(i + 1) * n]
         out.extend(sum(map(mul, arow, bcol)) for bcol in bcols)
-    return IntMatrix(n, n, tuple(out))
+    return IntMatrix(n, tuple(out))
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
@@ -127,7 +126,7 @@ def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     for i, c in enumerate(_x_pow_mod(e, char_poly(a)).coeffs):
         power = mat_mul(power, a) if i else power
         total = [t + c * x for t, x in zip(total, power.entries)]
-    return IntMatrix(a.rows, a.rows, tuple(total))
+    return IntMatrix(a.rows, tuple(total))
 
 
 def det(a: IntMatrix, method: str = "bareiss") -> int:
@@ -283,7 +282,7 @@ def char_poly(a: IntMatrix) -> Polynomial:
     for k in range(1, n + 1):
         am = mat_mul(a, m)
         c = coeffs[n - k] = _exact_div(-am.trace(), k)
-        m = IntMatrix(n, n, tuple(
+        m = IntMatrix(n, tuple(
             x + c if i % (n + 1) == 0 else x for i, x in enumerate(am.entries)))
     return Polynomial(tuple(coeffs))
 

@@ -48,7 +48,7 @@ def build_q(r: int) -> QMatrix:
     for i in range(k - 1):
         entries.extend(1 if j == i + 1 else 0 for j in range(k))
     entries.extend(weights)
-    return QMatrix(r, weights, IntMatrix(k, k, tuple(entries)))
+    return QMatrix(r, weights, IntMatrix(k, tuple(entries)))
 
 
 def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
@@ -80,16 +80,25 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     because q_1 = +-1 makes Q unimodular.
     """
     k = r + 2
-    return hankel(_power_terms(r, n, 2 * k - 1), k)
+    return hankel(_power_terms(_power_setup(r), n, 2 * k - 1), k)
 
 
-def _power_terms(r: int, n: int, count: int) -> list[int]:
-    # F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi, from one run
-    # at 0 that also gives the weights: the closed form is seeded only at 0
+def _power_setup(r: int) -> tuple[list[int], Polynomial]:
+    """The run F_r(0..3r+3) and chi = x^k - sum q_i x^(i-1), k = r+2.
+
+    Both depend on r alone, so callers that power one generation at many
+    n compute them once.  The weights come from the run itself: the closed
+    form is seeded only at 0.
+    """
     k = r + 2
-    run = sequence(r).terms(0, max(k + 2, k + count - 1))
-    q = _weights(run, k)
-    p = _x_pow_mod(n, Polynomial(tuple(-x for x in q) + (1,))).coeffs
+    run = sequence(r).terms(0, 3 * k - 2)
+    return run, Polynomial(tuple(-x for x in _weights(run, k)) + (1,))
+
+
+def _power_terms(setup: tuple[list[int], Polynomial], n: int, count: int) -> list[int]:
+    # F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi; count <= 2r+3
+    run, chi = setup
+    p = _x_pow_mod(n, chi).coeffs
     return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
 
 

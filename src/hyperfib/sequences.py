@@ -127,17 +127,18 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     if strategy is Strategy.PREFIX_SUM:
         if n < 0:
             raise ValueError("prefix-sum evaluation is defined only for n >= 0")
-        return _prefix_sum(r, n)
+        return _prefix_row(r, n)[-1]
     if strategy is Strategy.RECURRENCE:
         return _recurrence(r, n)
     if strategy is Strategy.MATRIX_POWER:
         from . import qmatrix   # deferred: qmatrix builds on this module
 
-        return qmatrix._power_terms(r, n, 1)[0]
+        return qmatrix._power_terms(qmatrix._power_setup(r), n, 1)[0]
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
-def _prefix_sum(r: int, n: int) -> int:
+def _prefix_row(r: int, n: int) -> list[int]:
+    # F_r(0..n) as r running sums of F(0..n); n >= 0
     row = []
     a, b = 0, 1
     for _ in range(n + 1):
@@ -145,22 +146,28 @@ def _prefix_sum(r: int, n: int) -> int:
         a, b = b, a + b
     for _ in range(r):
         row = list(accumulate(row))
-    return row[n]
+    return row
 
 
-def _recurrence(r: int, n: int) -> int:
+def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     # rolling two-term window, O(1) memory, with the correction
     # C(k+r, r-1) carried in O(1) per step; it calls no closed form, so the
-    # tests hold HyperfibSequence against it
+    # tests hold HyperfibSequence against it.  A given run receives every
+    # term walked before F_r(n), F_r(0..n-1) forward or F_r(-1..n+1)
+    # backward, so one walk serves every index it passes
     if n >= 0:
         a, b, c = 0, 1, r   # F_r(k), F_r(k+1), C(k+r, r-1) at k = 0
         for k in range(n):
+            if run is not None:
+                run.append(a)
             a, b = b, a + b + c
             c = c * (k + r + 1) // (k + 2)
         return a
     a, b, c = 1, 0, 1 if r else 0   # F_r(k+2), F_r(k+1), C(k+r, r-1) at k = -1
     for k in range(-1, n, -1):
         a, b = b, a - b - c
+        if run is not None:
+            run.append(b)
         # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
         # the factor is undefined and the next value is C(-1, r-1)
         c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)

@@ -2,11 +2,19 @@
 
 Each suite brute-forces one family of claims over a caller-chosen range and
 reports every case that disagrees.  A case is one claim at one input, even
-where a suite shares work between cases: the zero suite decides its four
-oversized windows at each start from the residual of the run under the
-characteristic polynomial, and eliminates only where that is nonzero, once
-for all four.  Suites are deterministic; the one randomized suite (general)
-draws from a seeded generator so runs are reproducible.
+where a suite shares work between cases:
+
+- cassini and zero cut their windows from one closed-form run per
+  generation.  The zero suite decides its four oversized windows at each
+  start from the residual of the run under the characteristic polynomial,
+  and eliminates only where that is nonzero, once for all four.
+- crosscheck walks the prefix and recurrence routes once per generation
+  and takes matpow's run and chi once per generation; each matpow case
+  still computes its own power x^n mod chi.
+- general walks each random pair once for all its window sizes.
+
+Suites are deterministic; the one randomized suite (general) draws from a
+seeded generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from typing import Callable, Sequence
 
 from .cassini import SecondOrderPair, general_cassini_walk, hankel, predicted_sign
 from .exact_linalg import Polynomial, _leading_dets, char_poly, det
-from .qmatrix import build_q
-from .sequences import Strategy, hyperfib, sequence
+from .qmatrix import _power_setup, _power_terms, build_q
+from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
 DEFAULT_SEED = 1729
 
@@ -107,17 +115,26 @@ def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
 
 
 def _suite_crosscheck(r_max, n_min, n_max, rng):
-    # every strategy against one closed-form run per generation
+    # every strategy against one closed-form run per generation; each walk
+    # runs once per generation, and matpow powers x once per case
     cases, failures = 0, []
     for r in range(0, r_max + 1):
         expected = sequence(r).terms(n_min, n_max + 1)
+        prefix, forward, backward = [], [], []   # F_r(0..n_max) twice, F_r(-1..n_min)
+        if n_max >= 0:
+            prefix = _prefix_row(r, n_max)
+            forward.append(_recurrence(r, n_max, forward))
+        if n_min < 0:
+            backward.append(_recurrence(r, n_min, backward))
+        setup = _power_setup(r)
         for n, reference in zip(range(n_min, n_max + 1), expected):
             cases += 1
-            for strat in Strategy:
-                if strat is Strategy.PREFIX_SUM and n < 0:
-                    continue
-                value = hyperfib(r, n, strat)
-                if value != reference:
+            for strat, value in (
+                (Strategy.PREFIX_SUM, prefix[n] if n >= 0 else None),
+                (Strategy.RECURRENCE, forward[n] if n >= 0 else backward[~n]),
+                (Strategy.MATRIX_POWER, _power_terms(setup, n, 1)[0]),
+            ):
+                if value is not None and value != reference:
                     failures.append(Failure(f"r={r} n={n} {strat.value}", value, reference))
     return cases, failures
 

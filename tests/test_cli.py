@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperfib.cli as cli
+import hyperfib.qmatrix as qmatrix
 import hyperfib.verify as verification
 from hyperfib.cassini import hankel
 from hyperfib.cli import main
@@ -23,6 +24,22 @@ def _child_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _crosscheck_per_case(r_max, n_min, n_max):
+    """The crosscheck suite as one hyperfib call per case and strategy."""
+    cases, failures = 0, []
+    for r in range(0, r_max + 1):
+        expected = verification.sequence(r).terms(n_min, n_max + 1)
+        for n, reference in zip(range(n_min, n_max + 1), expected):
+            cases += 1
+            for strat in Strategy:
+                if strat is Strategy.PREFIX_SUM and n < 0:
+                    continue
+                value = hyperfib(r, n, strat)
+                if value != reference:
+                    failures.append(Failure(f"r={r} n={n} {strat.value}", value, reference))
+    return cases, tuple(failures)
 
 
 def run(capsys, *argv):
@@ -308,14 +325,11 @@ class TestVerifyCommand:
     def test_huge_crosscheck_mismatch_is_reported(self, capsys, monkeypatch,
                                                  default_digit_limit):
         big = -(7 * 10**5_200 + 3)
-        actual = verification.hyperfib
 
-        def rigged(r, n, strategy=Strategy.RECURRENCE):
-            if strategy is Strategy.MATRIX_POWER:
-                return big
-            return actual(r, n, strategy)
+        def rigged(setup, n, count):
+            return [big] * count
 
-        monkeypatch.setattr(verification, "hyperfib", rigged)
+        monkeypatch.setattr(verification, "_power_terms", rigged)
         code, out, err = run(capsys, "verify", "--r-max", "1", "--n-min", "0",
                              "--n-max", "0", "--suite", "crosscheck")
         assert code == 1 and err == ""
@@ -462,13 +476,12 @@ class TestVerifyModule:
         assert [r.suite for r in reports] == ["cassini", "qdet"]
 
     def test_failures_keep_their_values(self, monkeypatch):
-        actual = verification.hyperfib
+        actual = verification._power_terms
 
-        def rigged(r, n, strategy=Strategy.RECURRENCE):
-            value = actual(r, n, strategy)
-            return value + 1 if strategy is Strategy.MATRIX_POWER else value
+        def rigged(setup, n, count):
+            return [value + 1 for value in actual(setup, n, count)]
 
-        monkeypatch.setattr(verification, "hyperfib", rigged)
+        monkeypatch.setattr(verification, "_power_terms", rigged)
         [report] = verify_all(1, 5, 5, ["crosscheck"])
         assert report.failures == (
             Failure("r=0 n=5 matpow", 6, 5),
@@ -496,6 +509,66 @@ class TestVerifyModule:
         assert report.failures == tuple(
             Failure(f"r=1 n={n} {name}", value, value + 1) for name in failing
         )
+
+    def test_one_power_per_matpow_case(self, monkeypatch):
+        # every matpow case is an independent power of x mod chi
+        actual, powers = qmatrix._x_pow_mod, []
+
+        def counted(e, chi):
+            powers.append(e)
+            return actual(e, chi)
+
+        monkeypatch.setattr(qmatrix, "_x_pow_mod", counted)
+        [report] = verify_all(3, -6, 8, ["crosscheck"])
+        assert report.passed and report.cases == 4 * 15
+        assert powers == list(range(-6, 9)) * 4
+
+    @pytest.mark.parametrize("n_min, n_max", [(-6, 8), (3, 9), (-9, -2), (0, 0), (-1, -1)])
+    def test_walks_once_per_generation(self, monkeypatch, n_min, n_max):
+        calls = []
+
+        def spy(name):
+            actual = getattr(verification, name)
+
+            def spied(r, *args):
+                calls.append((name, r, *args[:1]))
+                return actual(r, *args)
+
+            monkeypatch.setattr(verification, name, spied)
+
+        for name in ("_prefix_row", "_recurrence", "_power_setup"):
+            spy(name)
+        [report] = verify_all(3, n_min, n_max, ["crosscheck"])
+        assert report.passed
+        expected = []
+        for r in range(4):
+            expected += [("_prefix_row", r, n_max)] * (n_max >= 0)
+            expected += [("_recurrence", r, n_max)] * (n_max >= 0)
+            expected += [("_recurrence", r, n_min)] * (n_min < 0)
+            expected += [("_power_setup", r)]
+        assert calls == expected
+
+    @given(st.integers(1, 4), st.integers(-12, 12), st.integers(0, 12),
+           st.sets(st.tuples(st.integers(0, 4), st.integers(-12, 24)), max_size=8))
+    @settings(max_examples=30, deadline=None)
+    @example(3, -8, 12, {(0, -8), (1, -3), (1, 0), (2, 4), (3, -1), (3, 11)})
+    def test_report_equals_one_call_per_case(self, r_max, n_min, width, rigged):
+        # the closed-form run is off at the rigged (r, n); the suite must
+        # report what a hyperfib call per case and strategy reports
+        class Rigged(verification.sequence):
+            def terms(self, start, stop):
+                values = super().terms(start, stop)
+                for r, n in rigged:
+                    if r == self.r and start <= n < stop:
+                        values[n - start] += 3 + n
+                return values
+
+        n_max = n_min + width
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "sequence", Rigged)
+            [report] = verify_all(r_max, n_min, n_max, ["crosscheck"])
+            expected = _crosscheck_per_case(r_max, n_min, n_max)
+        assert (report.cases, report.failures) == expected
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_zero_suite_reports_each_window_over_a_bad_term(self, monkeypatch, bad):

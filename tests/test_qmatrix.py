@@ -161,7 +161,7 @@ class TestQMatrixType:
         assert isinstance(qm, QMatrix)
         assert qm.r == 3
         assert len(qm.q) == 5
-        assert qm.matrix.rows == qm.matrix.cols == 5
+        assert qm.matrix.rows == 5
         # shifted identity above the coefficient row
         for i in range(4):
             for j in range(5):

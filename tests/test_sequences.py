@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from hyperfib.sequences import (
     HyperfibSequence,
     Strategy,
+    _prefix_row,
+    _recurrence,
     fibonacci,
     hyperfib,
     sequence,
@@ -141,6 +143,31 @@ class TestIdentities:
     def test_zero_run_and_corner(self, r):
         assert all(hyperfib(r, n) == 0 for n in range(-r, 1))
         assert hyperfib(r, -r - 1) == (-1) ** r
+
+
+def _check_walks(r, n):
+    # the run _recurrence fills, then its return value, are the terms it
+    # walked: F_r(0..n) forward, F_r(-1), F_r(-2), ..., F_r(n) backward
+    run = []
+    value = _recurrence(r, n, run)
+    walked = sequence(r).terms(0, n + 1) if n >= 0 else sequence(r).terms(n, 0)[::-1]
+    assert run + [value] == walked
+    assert value == _recurrence(r, n)
+    if n >= 0:
+        assert _prefix_row(r, n) == walked
+
+
+class TestWalks:
+    @pytest.mark.parametrize("r", range(0, 11))
+    def test_edges(self, r):
+        # the zero run ends at -r, where the backward correction restarts
+        for n in sorted({0, 1, -1, -2, -r + 1, -r, -r - 1, -r - 2}):
+            _check_walks(r, n)
+
+    @given(st.integers(0, 10), st.integers(-300, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_walks_are_the_terms(self, r, n):
+        _check_walks(r, n)
 
 
 class TestHyperfibSequence:
