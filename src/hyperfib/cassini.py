@@ -9,8 +9,8 @@ Cassini identity; for m > r+2 the determinant vanishes identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .exact_linalg import IntMatrix, det
 from .sequences import fibonacci, sequence
@@ -57,16 +57,10 @@ def zero_det_check(m: int, n: int, r: int) -> int:
     return det(build_window(m, n, r))
 
 
-@dataclass(frozen=True)
-class SecondOrderPair:
+class SecondOrderPair(namedtuple("SecondOrderPair", "alpha beta a0 a1 b0 b1")):
     """Two sequences evolving by x(n+2) = alpha*x(n+1) + beta*x(n)."""
 
-    alpha: int
-    beta: int
-    a0: int
-    a1: int
-    b0: int
-    b1: int
+    __slots__ = ()
 
 
 def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
@@ -77,7 +71,9 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError("index must be >= 1")
-    return list(general_cassini_walk(pair, m))[-1]
+    for sides in general_cassini_walk(pair, m):
+        pass
+    return sides
 
 
 def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[int, int]]:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import verify as verification
 from .cassini import build_window
@@ -36,6 +35,8 @@ def _emit(fmt: str, payload: Callable[[], dict], rows: Iterable) -> None:
     sequence of values, which plain joins with spaces and csv with commas.
     """
     if fmt == "json":
+        import json   # deferred: only this format needs it
+
         print(json.dumps(payload()))
         return
     sep = "," if fmt == "csv" else " "

@@ -14,9 +14,9 @@ p and offers only products, powers and text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -60,21 +60,25 @@ def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str
             + _decimal_pieces(low, powers, level - 1, True))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows entries")):
     """Immutable row-major square matrix of integers with ``rows`` rows and columns."""
 
-    rows: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 1:
+    def __new__(cls, rows: int, entries: tuple[int, ...]) -> "IntMatrix":
+        if rows < 1:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.rows:
+        if len(entries) != rows * rows:
             raise ValueError("entry count does not match dimensions")
-        for e in self.entries:
+        for e in entries:
             if not isinstance(e, int):
                 raise TypeError(f"non-integer entry: {e!r}")
+        return super().__new__(cls, rows, entries)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntMatrix":
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
@@ -208,24 +212,28 @@ def adjugate_inverse(a: IntMatrix) -> IntMatrix:
     return mat_pow(a, -1)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(namedtuple("Polynomial", "coeffs")):
     """Integer polynomial; coefficients ascending by degree, normalized.
 
     Supports ``*``, ``**`` and ``str``; the zero polynomial has no
     coefficients.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(self.coeffs)
+    def __new__(cls, coeffs: Iterable[int]) -> "Polynomial":
+        c = tuple(coeffs)
         for x in c:
             if not isinstance(x, int):
                 raise TypeError(f"non-integer coefficient: {x!r}")
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, c)
+
+    @classmethod
+    def _make(cls, iterable) -> "Polynomial":
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

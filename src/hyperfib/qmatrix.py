@@ -15,23 +15,23 @@ the weights and the terms it weights taken from one run at index 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Sequence
 from math import comb
-from typing import Sequence, Union
 
 from .cassini import hankel
 from .exact_linalg import IntMatrix, Polynomial, _exact_div, _x_pow_mod
 from .sequences import sequence
 
+TYPE_CHECKING = False   # true for type checkers, which resolve Fraction below
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class QMatrix:
+
+class QMatrix(namedtuple("QMatrix", "r q matrix")):
     """Order-(r+2) companion matrix with its coefficient row q_1..q_{r+2}."""
 
-    r: int
-    q: tuple[int, ...]
-    matrix: IntMatrix
+    __slots__ = ()
 
 
 def build_q(r: int) -> QMatrix:
@@ -102,10 +102,7 @@ def _power_terms(setup: tuple[list[int], Polynomial], n: int, count: int) -> lis
     return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
 
 
-Coefficient = Union[int, Fraction]
-
-
-def infer_recurrence(terms: Sequence[int], max_order: int) -> list[Coefficient]:
+def infer_recurrence(terms: Sequence[int], max_order: int) -> list[int | Fraction]:
     """Weights (c_1..c_k) of the minimal recurrence fitting the terms.
 
     Finds the least k <= max_order such that a(j+k) = sum_i c_i * a(j+i-1)
@@ -126,6 +123,8 @@ def infer_recurrence(terms: Sequence[int], max_order: int) -> list[Coefficient]:
 
 def _solve_windows(terms: Sequence[int], k: int) -> list[Fraction] | None:
     # Gauss-Jordan over Fractions on every window equation; None = no fit
+    from fractions import Fraction   # deferred: only this solver needs it
+
     rows = [
         [Fraction(terms[j + i]) for i in range(k)] + [Fraction(terms[j + k])]
         for j in range(len(terms) - k)

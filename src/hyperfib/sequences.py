@@ -25,9 +25,9 @@ arithmetic is plain Python int, so results are exact at any size.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from itertools import accumulate
-from typing import Iterator
 
 
 class Strategy(Enum):

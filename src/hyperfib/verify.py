@@ -21,33 +21,32 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from operator import mul
-from typing import Callable, Sequence
 
-from .cassini import SecondOrderPair, general_cassini_walk, hankel, predicted_sign
-from .exact_linalg import Polynomial, _leading_dets, char_poly, det
+from .cassini import SecondOrderPair, general_cassini_walk, predicted_sign
+from .exact_linalg import Polynomial, _bareiss, _leading_dets, char_poly, det
 from .qmatrix import _power_setup, _power_terms, build_q
 from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class Failure:
-    """A case that disagreed, with the computed and expected values themselves."""
+class Failure(namedtuple("Failure", "case computed expected")):
+    """A case that disagreed, with the computed and expected values themselves.
 
-    case: str
-    computed: int | Polynomial
-    expected: int | Polynomial
+    ``case`` is its label; ``computed`` and ``expected`` are ints, or
+    ``Polynomial``s for the charpoly suite.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suite: str
-    cases: int
-    failures: tuple[Failure, ...]
-    elapsed: float
+class VerifyReport(namedtuple("VerifyReport", "suite cases failures elapsed")):
+    """One suite's case count, its ``Failure``s in order, and its seconds."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -65,7 +64,8 @@ def _suite_cassini(r_max, n_min, n_max, rng):
         m = r + 2
         run = sequence(r).terms(n_min, n_max + 2 * m - 1)
         for i, n in enumerate(range(n_min, n_max + 1)):
-            d, predicted = det(hankel(run[i:i + 2 * m - 1], m)), predicted_sign(r, n)
+            d = _bareiss([run[i + a:i + a + m] for a in range(m)])
+            predicted = predicted_sign(r, n)
             cases += 1
             if d != predicted:
                 failures.append(Failure(f"r={r} n={n}", d, predicted))
@@ -177,18 +177,21 @@ def verify_all(
     r_max: int,
     n_min: int,
     n_max: int,
-    suites: Sequence[str] = ("all",),
+    suites: str | Sequence[str] = ("all",),
     seed: int = DEFAULT_SEED,
 ) -> list[VerifyReport]:
     """Run the selected suites and return one report per suite.
 
-    The name "all" expands to every suite.  Rejects an empty selection,
-    unknown names, r_max < 1, and an empty index range.
+    ``suites`` is one name or a sequence of names; the name "all" expands
+    to every suite.  Rejects an empty selection, unknown names, r_max < 1,
+    and an empty index range.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     if n_min > n_max:
         raise ValueError("empty index range: n_min > n_max")
+    if isinstance(suites, str):   # one name, not a sequence of letters
+        suites = [suites]
     names = set(suites)
     if not names:
         raise ValueError("no suites selected")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hyperfib.cassini import (
     build_window,
     cassini_det,
     general_cassini,
+    general_cassini_walk,
     predicted_sign,
     shifted_fib_det,
     zero_det_check,
@@ -136,6 +139,24 @@ class TestGeneralCassini:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             general_cassini(SecondOrderPair(1, 1, 0, 1, 2, 1), 0)
+
+    @pytest.mark.parametrize("pair", [
+        SecondOrderPair(1, 1, 0, 1, 2, 1), SecondOrderPair(3, -2, 1, 4, -5, 0),
+        SecondOrderPair(-2, 0, 7, -1, 2, 3), SecondOrderPair(0, 0, 0, 0, 0, 0)])
+    def test_last_step_of_the_walk(self, pair):
+        walk = list(general_cassini_walk(pair, 40))
+        assert [general_cassini(pair, m) for m in range(1, 41)] == walk
+
+    def test_keeps_only_the_last_pair(self):
+        # holding every step would peak at about 2.5 MiB here
+        pair = SecondOrderPair(1, 2, 0, 1, 2, 1)
+        tracemalloc.start()
+        try:
+            lhs, rhs = general_cassini(pair, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lhs == rhs == -(2 ** 4000) and peak < 256 * 1024
 
     @given(
         st.integers(-9, 9), st.integers(-9, 9),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperfib.cli as cli
 import hyperfib.qmatrix as qmatrix
 import hyperfib.verify as verification
-from hyperfib.cassini import hankel
+from hyperfib.cassini import hankel, predicted_sign
 from hyperfib.cli import main
 from hyperfib.exact_linalg import det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
@@ -475,6 +475,12 @@ class TestVerifyModule:
         reports = verify_all(1, 0, 1, ["qdet", "cassini", "qdet"])
         assert [r.suite for r in reports] == ["cassini", "qdet"]
 
+    def test_one_name_as_a_string(self):
+        [report] = verify_all(3, 0, 5, "cassini")
+        assert (report.suite, report.cases, report.passed) == ("cassini", 18, True)
+        with pytest.raises(ValueError, match=r"unknown suite\(s\): nope$"):
+            verify_all(1, 0, 1, "nope")
+
     def test_failures_keep_their_values(self, monkeypatch):
         actual = verification._power_terms
 
@@ -592,6 +598,33 @@ class TestVerifyModule:
                     if d:
                         expected.append(Failure(f"m={m} n={n} r=2", d, 0))
         assert report.cases == 3 * 4 * 13
+        assert len(expected) > 10
+        assert report.failures == tuple(expected)
+
+    def test_cassini_suite_reports_each_window_over_a_bad_term(self, monkeypatch):
+        # terms of generations 1 and 3 are off; every (r+2)-window holding
+        # one fails with its own determinant, generations outer and starts
+        # inner, unless that still equals the predicted sign
+        bad = {(1, -2), (1, 9), (3, 4)}
+
+        class Rigged(verification.sequence):
+            def terms(self, start, stop):
+                values = super().terms(start, stop)
+                for r, n in bad:
+                    if r == self.r and start <= n < stop:
+                        values[n - start] += 5
+                return values
+
+        monkeypatch.setattr(verification, "sequence", Rigged)
+        [report] = verify_all(3, -6, 12, ["cassini"])
+        expected = []
+        for r in range(1, 4):
+            m = r + 2
+            for n in range(-6, 13):
+                d = det(hankel(Rigged(r).terms(n, n + 2 * m - 1), m))
+                if d != predicted_sign(r, n):
+                    expected.append(Failure(f"r={r} n={n}", d, predicted_sign(r, n)))
+        assert report.cases == 3 * 19
         assert len(expected) > 10
         assert report.failures == tuple(expected)
 

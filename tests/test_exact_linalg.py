@@ -107,6 +107,20 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix(2, (1, 0.5, 2, 3))
 
+    @pytest.mark.parametrize("build", [
+        IntMatrix,
+        lambda rows, entries: IntMatrix._make((rows, entries)),
+        lambda rows, entries: IntMatrix(1, (0,))._replace(rows=rows, entries=entries),
+    ], ids=["call", "_make", "_replace"])
+    def test_every_constructor_checks(self, build):
+        assert build(2, (1, 2, 3, 4)) == IntMatrix(2, (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            build(0, ())
+        with pytest.raises(ValueError, match="^entry count does not match dimensions$"):
+            build(2, (1, 2, 3))
+        with pytest.raises(TypeError, match=r"^non-integer entry: 0\.5$"):
+            build(2, (1, 0.5, 2, 3))
+
     def test_accessors(self):
         m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert m.get(1, 2) == 6
@@ -371,6 +385,17 @@ class TestPolynomial:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Polynomial((1.5,))
+
+    @pytest.mark.parametrize("build", [
+        Polynomial,
+        lambda coeffs: Polynomial._make((coeffs,)),
+        lambda coeffs: Polynomial((1,))._replace(coeffs=coeffs),
+    ], ids=["call", "_make", "_replace"])
+    def test_every_constructor_checks_and_normalizes(self, build):
+        assert build([1, 2, 0, 0]).coeffs == (1, 2)
+        assert build((0,)).coeffs == ()
+        with pytest.raises(TypeError, match=r"^non-integer coefficient: 1\.5$"):
+            build((1, 1.5))
 
     def test_arithmetic(self):
         p = Polynomial((1, 1))          # 1 + x

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import os
 import re
 import shlex
 import subprocess
@@ -11,7 +12,11 @@ from pathlib import Path
 import pytest
 
 import hyperfib
+from hyperfib.cassini import SecondOrderPair
 from hyperfib.cli import main
+from hyperfib.exact_linalg import IntMatrix, Polynomial
+from hyperfib.qmatrix import build_q
+from hyperfib.verify import Failure, VerifyReport
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -40,6 +45,70 @@ def _cli_examples():
             if argv[0] == "hyperfib" and shown:
                 examples.append((argv[1:], shown))
     return examples
+
+
+# stdlib modules the package would load only for one rarely used path
+OFF_THE_START_UP_PATH = ["dataclasses", "inspect", "fractions", "decimal", "json", "typing"]
+
+
+def _fresh(*argv):
+    """stdout of a fresh `python -S` (no site hooks) that imports this src."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_start_up_skips_heavy_modules():
+    script = ("import sys, hyperfib.cli; "
+              f"print([m for m in {OFF_THE_START_UP_PATH!r} if m in sys.modules])")
+    assert _fresh("-c", script) == "[]\n"
+
+
+def test_deferred_imports_load_when_used():
+    script = ("from hyperfib import infer_recurrence; "
+              "found = infer_recurrence([4, 2, 1], 1); "
+              "from fractions import Fraction; "
+              "print(found == [Fraction(1, 2)])")
+    assert _fresh("-c", script) == "True\n"
+    assert (_fresh("-m", "hyperfib", "term", "--r", "2", "--n", "9", "--format", "json")
+            == '{"r": 2, "n": 9, "value": "221"}\n')
+
+
+RECORDS = [
+    IntMatrix(2, (1, 2, 3, 4)),
+    Polynomial((-1, 0, 1)),
+    SecondOrderPair(1, -2, 3, 4, 5, -6),
+    build_q(1),
+    Failure("r=1 n=0", 7, 1),
+    VerifyReport("qdet", 1, (), 0.5),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_records_are_immutable_values(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1   # __slots__ = () leaves no instance dict
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert twin == tuple(record)   # a namedtuple equals the tuple of its fields
+    assert record._replace(**{field: getattr(record, field)}) == record
+
+
+def test_record_reprs_name_their_fields():
+    # general-suite failure labels embed the pair's repr
+    assert (repr(SecondOrderPair(1, -2, 3, 4, 5, -6))
+            == "SecondOrderPair(alpha=1, beta=-2, a0=3, a1=4, b0=5, b1=-6)")
+    assert repr(Failure("r=1", 0, -1)) == "Failure(case='r=1', computed=0, expected=-1)"
+
+
+def test_report_passed():
+    assert VerifyReport("qdet", 1, (), 0.0).passed
+    assert not VerifyReport("qdet", 1, (Failure("r=1", 0, -1),), 0.0).passed
 
 
 def test_public_names_are_documented():
