@@ -78,11 +78,10 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
 
 def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[int, int]]:
     """general_cassini(pair, m) for m = 1..m_max, from one walk of the pair."""
-    a_prev, a_cur = pair.a0, pair.a1
-    b_prev, b_cur = pair.b0, pair.b1
-    rhs, step = pair.a1 * pair.b0 - pair.a0 * pair.b1, -pair.beta
+    alpha, beta, a_prev, a_cur, b_prev, b_cur = pair
+    rhs, step = a_cur * b_prev - a_prev * b_cur, -beta
     for _ in range(m_max):
         yield a_cur * b_prev - a_prev * b_cur, rhs
         rhs *= step
-        a_prev, a_cur = a_cur, pair.alpha * a_cur + pair.beta * a_prev
-        b_prev, b_cur = b_cur, pair.alpha * b_cur + pair.beta * b_prev
+        a_prev, a_cur = a_cur, alpha * a_cur + beta * a_prev
+        b_prev, b_cur = b_cur, alpha * b_cur + beta * b_prev
