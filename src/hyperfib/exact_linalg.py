@@ -65,7 +65,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows entries")):
 
     __slots__ = ()
 
-    def __new__(cls, rows: int, entries: tuple[int, ...]) -> "IntMatrix":
+    def __new__(cls, rows: int, entries: Iterable[int]) -> "IntMatrix":
+        entries = tuple(entries)   # a list would leave the matrix mutable
         if rows < 1:
             raise ValueError("matrix dimensions must be positive")
         if len(entries) != rows * rows:

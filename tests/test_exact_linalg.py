@@ -114,6 +114,7 @@ class TestIntMatrix:
     ], ids=["call", "_make", "_replace"])
     def test_every_constructor_checks(self, build):
         assert build(2, (1, 2, 3, 4)) == IntMatrix(2, (1, 2, 3, 4))
+        assert build(2, [1, 2, 3, 4]).entries == (1, 2, 3, 4)   # stored as a tuple
         with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
             build(0, ())
         with pytest.raises(ValueError, match="^entry count does not match dimensions$"):
