@@ -191,7 +191,7 @@ def verify_all(
     if n_min > n_max:
         raise ValueError("empty index range: n_min > n_max")
     if isinstance(suites, str):   # one name, not a sequence of letters
-        suites = [suites]
+        suites = [suites] if suites else []
     names = set(suites)
     if not names:
         raise ValueError("no suites selected")

@@ -480,6 +480,8 @@ class TestVerifyModule:
         assert (report.suite, report.cases, report.passed) == ("cassini", 18, True)
         with pytest.raises(ValueError, match=r"unknown suite\(s\): nope$"):
             verify_all(1, 0, 1, "nope")
+        with pytest.raises(ValueError, match="no suites selected"):
+            verify_all(1, 0, 1, "")
 
     def test_failures_keep_their_values(self, monkeypatch):
         actual = verification._power_terms
