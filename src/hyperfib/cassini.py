@@ -71,9 +71,12 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
     """
     if m < 1:
         raise ValueError("index must be >= 1")
-    for sides in general_cassini_walk(pair, m):
-        pass
-    return sides
+    alpha, beta, a_prev, a_cur, b_prev, b_cur = pair
+    for _ in range(m - 1):   # steps alone: the products are formed once, below
+        a_prev, a_cur = a_cur, alpha * a_cur + beta * a_prev
+        b_prev, b_cur = b_cur, alpha * b_cur + beta * b_prev
+    rhs = (-beta) ** (m - 1) * (pair.a1 * pair.b0 - pair.a0 * pair.b1)
+    return a_cur * b_prev - a_prev * b_cur, rhs
 
 
 def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[int, int]]:

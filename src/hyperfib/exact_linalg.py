@@ -60,6 +60,11 @@ def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str
             + _decimal_pieces(low, powers, level - 1, True))
 
 
+def _not_implemented(self, other):
+    # records, not sequences: no tuple concatenation or repetition
+    return NotImplemented
+
+
 class IntMatrix(namedtuple("IntMatrix", "rows entries")):
     """Immutable row-major square matrix of integers with ``rows`` rows and columns."""
 
@@ -75,6 +80,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows entries")):
             if not isinstance(e, int):
                 raise TypeError(f"non-integer entry: {e!r}")
         return super().__new__(cls, rows, entries)
+
+    __add__ = __mul__ = __rmul__ = _not_implemented
 
     @classmethod
     def _make(cls, iterable) -> "IntMatrix":
@@ -162,38 +169,15 @@ def _bareiss(m: list[list[int]]) -> int:
                     break
             else:
                 return 0   # column has no pivot below the diagonal
-        prev = _eliminate(m, k, prev)
+        pivot, rowk = m[k][k], m[k]
+        for rowi in m[k + 1:]:
+            lead = rowi[k]
+            for j in range(k + 1, n):
+                # exact by the Bareiss minor identity
+                rowi[j] = (pivot * rowi[j] - lead * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _eliminate(m: list[list[int]], k: int, prev: int) -> int:
-    # one Bareiss step on the nonzero pivot m[k][k], which it returns
-    pivot, rowk = m[k][k], m[k]
-    for rowi in m[k + 1:]:
-        lead = rowi[k]
-        for j in range(k + 1, len(rowk)):
-            # exact by the Bareiss minor identity
-            rowi[j] = (pivot * rowi[j] - lead * rowk[j]) // prev
-        rowi[k] = 0
-    return pivot
-
-
-def _leading_dets(rows: list[list[int]], first: int) -> list[int]:
-    """det of each leading j x j block of the square rows, j = first..len(rows).
-
-    One pass: Bareiss runs without row swaps while its pivot is nonzero, for
-    at most first-1 steps.  If it stops after s steps with last pivot p (1
-    when s = 0), Sylvester's identity (Bareiss, Math. Comp. 22, 1968) makes
-    the t x t top-left corner of the remaining block det_(s+t) * p^(t-1), so
-    each det_j is that corner's determinant divided exactly by p^(t-1),
-    t = j - s.  Needs first >= 1; the rows are overwritten.
-    """
-    s, prev = 0, 1
-    while s < first - 1 and rows[s][s]:
-        prev = _eliminate(rows, s, prev)
-        s += 1
-    return [_exact_div(_bareiss([row[s:j] for row in rows[s:j]]), prev ** (j - s - 1))
-            for j in range(first, len(rows) + 1)]
 
 
 def _cofactor(rows: list[list[int]]) -> int:
@@ -236,7 +220,11 @@ class Polynomial(namedtuple("Polynomial", "coeffs")):
         # namedtuple's _make, which _replace calls, would skip __new__
         return cls(*iterable)
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    __add__ = __rmul__ = _not_implemented
+
+    def __mul__(self, other: object) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x:

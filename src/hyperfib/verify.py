@@ -7,7 +7,7 @@ where a suite shares work between cases:
 - cassini and zero cut their windows from one closed-form run per
   generation.  The zero suite decides its four oversized windows at each
   start from the residual of the run under the characteristic polynomial,
-  and eliminates only where that is nonzero, once for all four.
+  and eliminates each window only where that is nonzero.
 - crosscheck walks the prefix and recurrence routes once per generation
   and takes matpow's run and chi once per generation; each matpow case
   still computes its own power x^n mod chi.
@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .cassini import SecondOrderPair, general_cassini_walk, predicted_sign
-from .exact_linalg import Polynomial, _bareiss, _leading_dets, char_poly, det
+from .exact_linalg import Polynomial, _bareiss, char_poly, det
 from .qmatrix import _power_setup, _power_terms, build_q
 from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
@@ -102,15 +102,14 @@ def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
     e(i+a) = sum_t chi_t run[i+a+t] in row a of column k, inside every
     window of size > k at start i.  Where e is zero on i..i+r+5 each of the
     four windows has a zero column, so its determinant is exactly 0; at any
-    other start the windows are the leading blocks of the (r+6)-window, and
-    one elimination gives all four (``_leading_dets``).  The result is
-    exact for any run; only the speed rests on chi annihilating it.
+    other start each window gets its own Bareiss elimination.  The result
+    is exact for any run; only the speed rests on chi annihilating it.
     """
     m, k = r + 6, r + 2
     chi = _chi(r).coeffs
     e = [sum(map(mul, chi, run[s:s + k + 1])) for s in range(len(run) - k)]
     return [[0] * 4 if not any(e[i:i + m]) else
-            _leading_dets([run[i + a:i + a + m] for a in range(m)], k + 1)
+            [_bareiss([run[i + a:i + a + j] for a in range(j)]) for j in range(k + 1, m + 1)]
             for i in range(len(run) - 2 * m + 2)]
 
 

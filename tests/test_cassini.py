@@ -147,6 +147,12 @@ class TestGeneralCassini:
         walk = list(general_cassini_walk(pair, 40))
         assert [general_cassini(pair, m) for m in range(1, 41)] == walk
 
+    @given(st.builds(SecondOrderPair, *[st.integers(-9, 9)] * 6), st.integers(1, 80))
+    @settings(max_examples=100)
+    def test_equals_the_walks_last_item(self, pair, m):
+        *_, last = general_cassini_walk(pair, m)
+        assert general_cassini(pair, m) == last
+
     def test_keeps_only_the_last_pair(self):
         # holding every step would peak at about 2.5 MiB here
         pair = SecondOrderPair(1, 2, 0, 1, 2, 1)
