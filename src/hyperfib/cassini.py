@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .exact_linalg import IntMatrix, det
+from .exact_linalg import IntMatrix, _not_implemented, det
 from .sequences import fibonacci, sequence
 
 
@@ -61,6 +61,8 @@ class SecondOrderPair(namedtuple("SecondOrderPair", "alpha beta a0 a1 b0 b1")):
     """Two sequences evolving by x(n+2) = alpha*x(n+1) + beta*x(n)."""
 
     __slots__ = ()
+
+    __add__ = __mul__ = __rmul__ = _not_implemented
 
 
 def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:

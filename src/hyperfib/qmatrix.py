@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from math import comb
 
 from .cassini import hankel
-from .exact_linalg import IntMatrix, Polynomial, _exact_div, _x_pow_mod
+from .exact_linalg import IntMatrix, Polynomial, _exact_div, _not_implemented, _x_pow_mod
 from .sequences import sequence
 
 TYPE_CHECKING = False   # true for type checkers, which resolve Fraction below
@@ -32,6 +32,8 @@ class QMatrix(namedtuple("QMatrix", "r q matrix")):
     """Order-(r+2) companion matrix with its coefficient row q_1..q_{r+2}."""
 
     __slots__ = ()
+
+    __add__ = __mul__ = __rmul__ = _not_implemented
 
 
 def build_q(r: int) -> QMatrix:

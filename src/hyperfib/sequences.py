@@ -19,8 +19,12 @@ for every integer n, with C the polynomial binomial and F by fast doubling
 (D. Takahashi, "A fast algorithm for computing large Fibonacci numbers",
 IPL 75, 2000).  ``HyperfibSequence`` seeds runs of terms from it and keeps
 no cache.  Three independent evaluation strategies are provided and agree
-wherever they are defined, which the test suite uses as a cross-check.  All
-arithmetic is plain Python int, so results are exact at any size.
+wherever they are defined, which the test suite uses as a cross-check.  The
+recurrence strategy walks each term as a + s: the big part a takes the plain
+Fibonacci step, the small part s takes the corrections, and every 512 steps
+s is folded into a and restarts at 0, so a step makes one addition at the
+size of the terms.  All arithmetic is plain Python int, so results are exact
+at any size.
 """
 
 from __future__ import annotations
@@ -149,26 +153,41 @@ def _prefix_row(r: int, n: int) -> list[int]:
     return row
 
 
+_FOLD = 512   # steps between folds of _recurrence's small pair
+
+
 def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     # rolling two-term window, O(1) memory, with the correction
     # C(k+r, r-1) carried in O(1) per step; it calls no closed form, so the
-    # tests hold HyperfibSequence against it.  A given run receives every
-    # term walked before F_r(n), F_r(0..n-1) forward or F_r(-1..n+1)
-    # backward, so one walk serves every index it passes
+    # tests hold HyperfibSequence against it.  Each walked term is a + s:
+    # the big pair a, b takes the plain Fibonacci step, one addition at the
+    # size of the terms, and the small pair s, t takes the corrections.
+    # The small pair grows by about 0.7 bits a step, so after every _FOLD
+    # steps it is folded into the big one and restarts at 0.  A given run
+    # receives every term walked before F_r(n), F_r(0..n-1) forward or
+    # F_r(-1..n+1) backward, so one walk serves every index it passes
     if n >= 0:
-        a, b, c = 0, 1, r   # F_r(k), F_r(k+1), C(k+r, r-1) at k = 0
-        for k in range(n):
-            if run is not None:
-                run.append(a)
-            a, b = b, a + b + c
-            c = c * (k + r + 1) // (k + 2)
+        # F_r(k) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = 0
+        a, b, s, t, c = 0, 1, 0, 0, r
+        for lo in range(0, n, _FOLD):
+            for k in range(lo, min(lo + _FOLD, n)):
+                if run is not None:
+                    run.append(a + s)
+                a, b = b, a + b
+                s, t = t, s + t + c
+                c = c * (k + r + 1) // (k + 2)
+            a, b, s, t = a + s, b + t, 0, 0
         return a
-    a, b, c = 1, 0, 1 if r else 0   # F_r(k+2), F_r(k+1), C(k+r, r-1) at k = -1
-    for k in range(-1, n, -1):
-        a, b = b, a - b - c
-        if run is not None:
-            run.append(b)
-        # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
-        # the factor is undefined and the next value is C(-1, r-1)
-        c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
+    # F_r(k+2) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = -1
+    a, b, s, t, c = 1, 0, 0, 0, 1 if r else 0
+    for hi in range(-1, n, -_FOLD):
+        for k in range(hi, max(hi - _FOLD, n), -1):
+            a, b = b, a - b
+            s, t = t, s - t - c
+            if run is not None:
+                run.append(b + t)
+            # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
+            # the factor is undefined and the next value is C(-1, r-1)
+            c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
+        a, b, s, t = a + s, b + t, 0, 0
     return a - b - c

@@ -26,7 +26,7 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .cassini import SecondOrderPair, general_cassini_walk, predicted_sign
-from .exact_linalg import Polynomial, _bareiss, char_poly, det
+from .exact_linalg import Polynomial, _bareiss, _not_implemented, char_poly, det
 from .qmatrix import _power_setup, _power_terms, build_q
 from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
@@ -42,11 +42,15 @@ class Failure(namedtuple("Failure", "case computed expected")):
 
     __slots__ = ()
 
+    __add__ = __mul__ = __rmul__ = _not_implemented
+
 
 class VerifyReport(namedtuple("VerifyReport", "suite cases failures elapsed")):
     """One suite's case count, its ``Failure``s in order, and its seconds."""
 
     __slots__ = ()
+
+    __add__ = __mul__ = __rmul__ = _not_implemented
 
     @property
     def passed(self) -> bool:

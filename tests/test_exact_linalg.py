@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperfib.verify as verification
-from hyperfib.cassini import hankel
+from hyperfib.cassini import SecondOrderPair, hankel
 from hyperfib.exact_linalg import (
     IntMatrix,
     Polynomial,
@@ -18,7 +18,7 @@ from hyperfib.exact_linalg import (
 )
 from hyperfib.qmatrix import build_q, reconstruct
 from hyperfib.sequences import sequence
-from hyperfib.verify import _oversized_dets
+from hyperfib.verify import Failure, VerifyReport, _oversized_dets
 
 Q4 = IntMatrix.from_rows([
     [0, 1, 0, 0],
@@ -401,8 +401,24 @@ class TestPolynomial:
     lambda: 2 * Polynomial((1, 1)),
     lambda: Polynomial((1, 1)) * 2,
     lambda: Polynomial((1, 1)) + Polynomial((1, 1)),
+    lambda: 2 * build_q(1),
+    lambda: build_q(1) * 2,
+    lambda: build_q(1) + build_q(1),
+    lambda: 2 * Failure("a", 1, 2),
+    lambda: Failure("a", 1, 2) * 2,
+    lambda: Failure("a", 1, 2) + Failure("a", 1, 2),
+    lambda: 2 * VerifyReport("zero", 1, (), 0.0),
+    lambda: VerifyReport("zero", 1, (), 0.0) * 2,
+    lambda: VerifyReport("zero", 1, (), 0.0) + VerifyReport("zero", 1, (), 0.0),
+    lambda: 2 * SecondOrderPair(1, 1, 0, 1, 2, 1),
+    lambda: SecondOrderPair(1, 1, 0, 1, 2, 1) * 2,
+    lambda: SecondOrderPair(1, 1, 0, 1, 2, 1) + SecondOrderPair(1, 1, 0, 1, 2, 1),
 ], ids=["int*matrix", "matrix*int", "matrix+matrix", "matrix*matrix",
-        "int*poly", "poly*int", "poly+poly"])
+        "int*poly", "poly*int", "poly+poly",
+        "int*qmatrix", "qmatrix*int", "qmatrix+qmatrix",
+        "int*failure", "failure*int", "failure+failure",
+        "int*report", "report*int", "report+report",
+        "int*pair", "pair*int", "pair+pair"])
 def test_records_have_no_tuple_arithmetic(op):
     with pytest.raises(TypeError, match="^unsupported operand type"):
         op()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperfib.sequences as sequences
 from hyperfib.sequences import (
     HyperfibSequence,
     Strategy,
@@ -33,8 +34,12 @@ class TestFibonacci:
         assert fibonacci(-n) == (-1) ** (n + 1) * fibonacci(n)
 
     def test_doubling_matches_recurrence(self):
-        expected = [hyperfib(0, n, Strategy.RECURRENCE) for n in range(-3000, 3001)]
-        assert [fibonacci(n) for n in range(-3000, 3001)] == expected
+        # one walk each way yields F(0..3000) and F(-1..-3000)
+        forward, backward = [], []
+        forward.append(_recurrence(0, 3000, forward))
+        backward.append(_recurrence(0, -3000, backward))
+        assert [fibonacci(n) for n in range(0, 3001)] == forward
+        assert [fibonacci(n) for n in range(-1, -3001, -1)] == backward
 
 
 def _correction(r, n):
@@ -168,6 +173,23 @@ class TestWalks:
     @settings(max_examples=150, deadline=None)
     def test_walks_are_the_terms(self, r, n):
         _check_walks(r, n)
+
+    @pytest.mark.parametrize("n", [1500, -1500, 3000, -3000])
+    @pytest.mark.parametrize("r", [1, 2, 7, 16])
+    def test_walks_across_folds(self, r, n):
+        # the walk folds its small pair into the big one every 512 steps
+        _check_walks(r, n)
+
+    def test_calls_no_closed_form(self, monkeypatch):
+        expected = {n: sequence(5).term(n) for n in (2000, -2000)}
+
+        def closed_form(*args):
+            raise AssertionError("the oracle called the closed form")
+
+        monkeypatch.setattr(sequences, "_fib_pair", closed_form)
+        monkeypatch.setattr(HyperfibSequence, "_seed", closed_form)
+        for n, value in expected.items():
+            assert _recurrence(5, n) == value
 
 
 class TestHyperfibSequence:
