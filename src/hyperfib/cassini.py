@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .exact_linalg import IntMatrix, _not_implemented, det
+from .exact_linalg import IntMatrix, _Record, det
 from .sequences import fibonacci, sequence
 
 
@@ -57,12 +57,10 @@ def zero_det_check(m: int, n: int, r: int) -> int:
     return det(build_window(m, n, r))
 
 
-class SecondOrderPair(namedtuple("SecondOrderPair", "alpha beta a0 a1 b0 b1")):
+class SecondOrderPair(_Record, namedtuple("SecondOrderPair", "alpha beta a0 a1 b0 b1")):
     """Two sequences evolving by x(n+2) = alpha*x(n+1) + beta*x(n)."""
 
     __slots__ = ()
-
-    __add__ = __mul__ = __rmul__ = _not_implemented
 
 
 def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:

@@ -188,25 +188,21 @@ def _parse_strategies(text: str) -> list[Strategy]:
     return list(dict.fromkeys(map(Strategy, parts)))
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _checked_int(ok: Callable[[int], bool], message: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:   # argparse's wording for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+_nonneg = _checked_int(lambda v: v >= 0, "must be >= 0")
+_positive = _checked_int(lambda v: v >= 1, "must be >= 1")
+_seed = _checked_int(lambda v: 0 <= v < 2**64, "seed must fit in 64 bits")
 
 
 def _add_format(parser) -> None:

@@ -8,8 +8,8 @@ divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
 (Cayley-Hamilton), for negative e too when a is unimodular; one kernel
-computes p on a plain list of coefficients.  ``Polynomial`` carries chi and
-p and offers only products, powers and text.
+computes p on plain coefficient sequences.  ``Polynomial`` carries the
+result of ``char_poly`` and offers only products, powers and text.
 """
 
 from __future__ import annotations
@@ -60,12 +60,31 @@ def _decimal_pieces(value: int, powers: list[int], level: int, pad: bool) -> str
             + _decimal_pieces(low, powers, level - 1, True))
 
 
-def _not_implemented(self, other):
-    # records, not sequences: no tuple concatenation or repetition
-    return NotImplemented
+class _Record:
+    """Base of the namedtuple records: values, not sequences.
+
+    Tuple ``+`` and ``*`` are refused on both sides: ``__radd__`` raises, as
+    NotImplemented would let a plain tuple on the left concatenate.  ``_make``,
+    which ``_replace`` calls, goes through the record's checking ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+    def __radd__(self, other):
+        raise TypeError("unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and {type(self).__name__!r}")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-class IntMatrix(namedtuple("IntMatrix", "rows entries")):
+class IntMatrix(_Record, namedtuple("IntMatrix", "rows entries")):
     """Immutable row-major square matrix of integers with ``rows`` rows and columns."""
 
     __slots__ = ()
@@ -80,13 +99,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows entries")):
             if not isinstance(e, int):
                 raise TypeError(f"non-integer entry: {e!r}")
         return super().__new__(cls, rows, entries)
-
-    __add__ = __mul__ = __rmul__ = _not_implemented
-
-    @classmethod
-    def _make(cls, iterable) -> "IntMatrix":
-        # namedtuple's _make, which _replace calls, would skip __new__
-        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
@@ -135,7 +147,10 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     """a**e as sum p_i a^i, p = x^e mod char_poly(a); e < 0 needs det(a) = +-1."""
     total, power = [0] * a.rows ** 2, IntMatrix.identity(a.rows)
-    for i, c in enumerate(_x_pow_mod(e, char_poly(a)).coeffs):
+    p = _x_pow_mod(e, char_poly(a).coeffs)
+    while p and not p[-1]:   # a trailing zero would still cost a product
+        p.pop()
+    for i, c in enumerate(p):
         power = mat_mul(power, a) if i else power
         total = [t + c * x for t, x in zip(total, power.entries)]
     return IntMatrix(a.rows, tuple(total))
@@ -197,7 +212,7 @@ def adjugate_inverse(a: IntMatrix) -> IntMatrix:
     return mat_pow(a, -1)
 
 
-class Polynomial(namedtuple("Polynomial", "coeffs")):
+class Polynomial(_Record, namedtuple("Polynomial", "coeffs")):
     """Integer polynomial; coefficients ascending by degree, normalized.
 
     Supports ``*``, ``**`` and ``str``; the zero polynomial has no
@@ -214,13 +229,6 @@ class Polynomial(namedtuple("Polynomial", "coeffs")):
         while c and c[-1] == 0:
             c = c[:-1]
         return super().__new__(cls, c)
-
-    @classmethod
-    def _make(cls, iterable) -> "Polynomial":
-        # namedtuple's _make, which _replace calls, would skip __new__
-        return cls(*iterable)
-
-    __add__ = __rmul__ = _not_implemented
 
     def __mul__(self, other: object) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -284,8 +292,8 @@ def char_poly(a: IntMatrix) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _x_pow_mod(e: int, chi: Polynomial) -> Polynomial:
-    """x^e mod the monic chi, for any integer e.
+def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
+    """x^e mod the monic chi, for any integer e; coefficients ascending.
 
     Walks the bits of |e| from the top on a list of deg(chi) coefficients:
     each step squares it (symmetric products, k(k+1)/2 multiplies for
@@ -294,14 +302,14 @@ def _x_pow_mod(e: int, chi: Polynomial) -> Polynomial:
     x*h = -c_0 mod chi, so when c_0 = +-1 (for chi = det(xI - a): when a is
     unimodular) x^-1 = -c_0 * h mod chi.
     """
-    c = chi.coeffs
+    c = chi
     if not c or c[-1] != 1:
         raise ValueError("remainder needs a monic divisor")
     k = len(c) - 1
     if e < 0 and c[0] not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c[0]})")
     if k == 0:
-        return Polynomial(())   # everything is 0 mod 1
+        return []   # everything is 0 mod 1
     p = [1] + [0] * (k - 1)
     for bit in bin(abs(e))[2:]:
         sq = [0] * (2 * k - 1)
@@ -324,4 +332,4 @@ def _x_pow_mod(e: int, chi: Polynomial) -> Polynomial:
             else:       # p_0 * x^-1 + (p - p_0) / x
                 t = -c[0] * p[0]
                 p = [x + t * ci for x, ci in zip(p[1:] + [0], c[1:])]
-    return Polynomial(tuple(p))
+    return p

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from math import comb
 
 from .cassini import hankel
-from .exact_linalg import IntMatrix, Polynomial, _exact_div, _not_implemented, _x_pow_mod
+from .exact_linalg import IntMatrix, _exact_div, _Record, _x_pow_mod
 from .sequences import sequence
 
 TYPE_CHECKING = False   # true for type checkers, which resolve Fraction below
@@ -28,12 +28,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class QMatrix(namedtuple("QMatrix", "r q matrix")):
+class QMatrix(_Record, namedtuple("QMatrix", "r q matrix")):
     """Order-(r+2) companion matrix with its coefficient row q_1..q_{r+2}."""
 
     __slots__ = ()
-
-    __add__ = __mul__ = __rmul__ = _not_implemented
 
 
 def build_q(r: int) -> QMatrix:
@@ -85,7 +83,7 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     return hankel(_power_terms(_power_setup(r), n, 2 * k - 1), k)
 
 
-def _power_setup(r: int) -> tuple[list[int], Polynomial]:
+def _power_setup(r: int) -> tuple[list[int], tuple[int, ...]]:
     """The run F_r(0..3r+3) and chi = x^k - sum q_i x^(i-1), k = r+2.
 
     Both depend on r alone, so callers that power one generation at many
@@ -94,13 +92,13 @@ def _power_setup(r: int) -> tuple[list[int], Polynomial]:
     """
     k = r + 2
     run = sequence(r).terms(0, 3 * k - 2)
-    return run, Polynomial(tuple(-x for x in _weights(run, k)) + (1,))
+    return run, tuple(-x for x in _weights(run, k)) + (1,)
 
 
-def _power_terms(setup: tuple[list[int], Polynomial], n: int, count: int) -> list[int]:
+def _power_terms(setup: tuple[list[int], tuple[int, ...]], n: int, count: int) -> list[int]:
     # F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi; count <= 2r+3
     run, chi = setup
-    p = _x_pow_mod(n, chi).coeffs
+    p = _x_pow_mod(n, chi)
     return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
 
 

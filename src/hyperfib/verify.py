@@ -26,14 +26,14 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .cassini import SecondOrderPair, general_cassini_walk, predicted_sign
-from .exact_linalg import Polynomial, _bareiss, _not_implemented, char_poly, det
+from .exact_linalg import Polynomial, _bareiss, _Record, char_poly, det
 from .qmatrix import _power_setup, _power_terms, build_q
 from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
 DEFAULT_SEED = 1729
 
 
-class Failure(namedtuple("Failure", "case computed expected")):
+class Failure(_Record, namedtuple("Failure", "case computed expected")):
     """A case that disagreed, with the computed and expected values themselves.
 
     ``case`` is its label; ``computed`` and ``expected`` are ints, or
@@ -42,15 +42,11 @@ class Failure(namedtuple("Failure", "case computed expected")):
 
     __slots__ = ()
 
-    __add__ = __mul__ = __rmul__ = _not_implemented
 
-
-class VerifyReport(namedtuple("VerifyReport", "suite cases failures elapsed")):
+class VerifyReport(_Record, namedtuple("VerifyReport", "suite cases failures elapsed")):
     """One suite's case count, its ``Failure``s in order, and its seconds."""
 
     __slots__ = ()
-
-    __add__ = __mul__ = __rmul__ = _not_implemented
 
     @property
     def passed(self) -> bool:

@@ -392,6 +392,21 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    @pytest.mark.parametrize("argv, option, out_of_range, message", [
+        (["term", "--n", "1"], "--r", "-1", "must be >= 0"),
+        (["hankel", "--n", "1", "--r", "1"], "--m", "0", "must be >= 1"),
+        (["verify", "--r-max", "1", "--n-min", "0", "--n-max", "1"], "--seed", "-1",
+         "seed must fit in 64 bits"),
+    ], ids=["nonneg", "positive", "seed"])
+    def test_checked_ints_read_like_type_int(self, capsys, argv, option, out_of_range, message):
+        # a non-integer reads as argparse's own type=int error, not a helper's name
+        for value, expected in (("x", "invalid int value: 'x'"),
+                                ("1.5", "invalid int value: '1.5'"),
+                                (out_of_range, message)):
+            code, out, err = run(capsys, *argv, option, value)
+            assert (code, out) == (2, ""), value
+            assert err.endswith(f" error: argument {option}: {expected}\n"), err
+
     def test_one_parser_serves_every_call(self, capsys):
         # one process, one parser: each call prints what it prints alone,
         # so no call's options or defaults leak into the next

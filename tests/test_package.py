@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 import hyperfib
 from hyperfib.cassini import SecondOrderPair
 from hyperfib.cli import main
-from hyperfib.exact_linalg import IntMatrix, Polynomial
+from hyperfib.exact_linalg import IntMatrix, Polynomial, _Record
 from hyperfib.qmatrix import build_q
 from hyperfib.verify import Failure, VerifyReport
 
@@ -97,6 +98,18 @@ def test_records_are_immutable_values(record):
     assert twin == record and hash(twin) == hash(record) and twin is not record
     assert twin == tuple(record)   # a namedtuple equals the tuple of its fields
     assert record._replace(**{field: getattr(record, field)}) == record
+
+
+def test_every_record_refuses_tuple_arithmetic_through_the_base():
+    # a tuple subclass outside _Record would keep tuple + and *
+    modules = [importlib.import_module(f"hyperfib.{path.stem}")
+               for path in (ROOT / "src" / "hyperfib").glob("*.py")
+               if not path.stem.startswith("__")]
+    records = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, tuple)
+               and cls.__module__ == module.__name__}
+    assert records == {type(record) for record in RECORDS}
+    assert [type(r).__name__ for r in RECORDS if not isinstance(r, _Record)] == []
 
 
 def test_record_reprs_name_their_fields():
