@@ -28,11 +28,12 @@ def _text(value) -> str:
     return to_decimal(value) if isinstance(value, int) else str(value)
 
 
-def _emit(fmt: str, payload: Callable[[], dict], rows: Iterable) -> None:
+def _emit(fmt: str, payload: Callable[[], dict] | None, rows: Iterable) -> None:
     """Print payload() as one JSON line for json, else one line per row.
 
-    Only the output asked for is built.  A row is a line of text or a
-    sequence of values, which plain joins with spaces and csv with commas.
+    Only the output asked for is built; a caller that prints its own JSON
+    passes no payload.  A row is a line of text or a sequence of values,
+    which plain joins with spaces and csv with commas.
     """
     if fmt == "json":
         import json   # deferred: only this format needs it
@@ -66,10 +67,16 @@ def cmd_seq(args) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--from must not exceed --to")
     values = sequence(args.r)._run(args.n_from, args.n_to + 1)   # streamed
-    _emit(args.format,
-          lambda: {"r": args.r, "from": args.n_from, "to": args.n_to,
-                   "values": [_text(v) for v in values]},
-          zip(range(args.n_from, args.n_to + 1), values))
+    if args.format != "json":
+        _emit(args.format, None, zip(range(args.n_from, args.n_to + 1), values))
+        return 0
+    # the text json.dumps gives the payload, printed a term at a time;
+    # decimal strings need no escaping
+    head = f'{{"r": {args.r}, "from": {args.n_from}, "to": {args.n_to}, "values": ['
+    for v in values:
+        print(head, '"', _text(v), '"', sep="", end="")
+        head = ", "
+    print("]}")
     return 0
 
 

@@ -20,17 +20,21 @@ for every integer n, with C the polynomial binomial and F by fast doubling
 IPL 75, 2000).  ``HyperfibSequence`` seeds runs of terms from it and keeps
 no cache.  Three independent evaluation strategies are provided and agree
 wherever they are defined, which the test suite uses as a cross-check.  The
-recurrence strategy walks each term as a + s: the big part a takes the plain
-Fibonacci step, the small part s takes the corrections, and every 512 steps
-s is folded into a and restarts at 0, so a step makes one addition at the
-size of the terms.  All arithmetic is plain Python int, so results are exact
-at any size.
+recurrence strategy walks each term as a + s: the big part a takes only the
+plain Fibonacci step, and the small part s takes the corrections.  The walk
+goes in blocks of 512 steps.  Across a block the plain step is one fixed
+linear map, walked once from the unit vectors, so the per-step loop walks
+only the small pair, and at the end of a block the big pair takes the map
+(four products by numbers of about 355 bits) and s is folded into a and
+restarts at 0.  All arithmetic is plain Python int, so results are exact at
+any size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
+from functools import cache
 from itertools import accumulate
 
 
@@ -153,41 +157,64 @@ def _prefix_row(r: int, n: int) -> list[int]:
     return row
 
 
-_FOLD = 512   # steps between folds of _recurrence's small pair
+_FOLD = 512   # steps in each block of _recurrence's walk
+
+
+@cache
+def _block_map(sign: int) -> tuple[int, int, int, int]:
+    # x0, y0, x1, y1 such that _FOLD plain steps a, b = b, a + sign * b
+    # take (a, b) to (x0*a + y0*b, x1*a + y1*b); walked from the unit
+    # vectors (1, 0) and (0, 1), so no closed form is called
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    for _ in range(_FOLD):
+        x0, x1 = x1, x0 + sign * x1
+        y0, y1 = y1, y0 + sign * y1
+    return x0, y0, x1, y1
 
 
 def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     # rolling two-term window, O(1) memory, with the correction
     # C(k+r, r-1) carried in O(1) per step; it calls no closed form, so the
     # tests hold HyperfibSequence against it.  Each walked term is a + s:
-    # the big pair a, b takes the plain Fibonacci step, one addition at the
-    # size of the terms, and the small pair s, t takes the corrections.
-    # The small pair grows by about 0.7 bits a step, so after every _FOLD
-    # steps it is folded into the big one and restarts at 0.  A given run
-    # receives every term walked before F_r(n), F_r(0..n-1) forward or
-    # F_r(-1..n+1) backward, so one walk serves every index it passes
+    # the big pair a, b takes only the plain Fibonacci step, and the small
+    # pair s, t takes the start values and the corrections.  The walk goes
+    # in blocks of _FOLD steps, the partial one first, where a, b = 0, 0.
+    # The per-step loop walks only s, t and c; at a block's end the big
+    # pair takes _block_map, which leaves 0 at 0, and the small pair is
+    # folded into it and restarts at 0.  A given run receives every term
+    # walked before F_r(n), F_r(0..n-1) forward or F_r(-1..n+1) backward,
+    # so with one the big pair steps term by term and takes no map, and one
+    # walk serves every index it passes
     if n >= 0:
         # F_r(k) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = 0
-        a, b, s, t, c = 0, 1, 0, 0, r
-        for lo in range(0, n, _FOLD):
-            for k in range(lo, min(lo + _FOLD, n)):
+        a, b, s, t, c = 0, 0, 0, 1, r
+        x0, y0, x1, y1 = _block_map(1)
+        lo = 0
+        for hi in range(n % _FOLD, n + 1, _FOLD):
+            for k in range(lo, hi):
                 if run is not None:
                     run.append(a + s)
-                a, b = b, a + b
+                    a, b = b, a + b
                 s, t = t, s + t + c
                 c = c * (k + r + 1) // (k + 2)
-            a, b, s, t = a + s, b + t, 0, 0
+            if run is None:
+                a, b = x0 * a + y0 * b, x1 * a + y1 * b
+            a, b, s, t, lo = a + s, b + t, 0, 0, hi
         return a
     # F_r(k+2) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = -1
-    a, b, s, t, c = 1, 0, 0, 0, 1 if r else 0
-    for hi in range(-1, n, -_FOLD):
-        for k in range(hi, max(hi - _FOLD, n), -1):
-            a, b = b, a - b
+    a, b, s, t, c = 0, 0, 1, 0, 1 if r else 0
+    x0, y0, x1, y1 = _block_map(-1)
+    hi = -1
+    for lo in range(-1 - (-1 - n) % _FOLD, n - 1, -_FOLD):
+        for k in range(hi, lo, -1):
             s, t = t, s - t - c
             if run is not None:
+                a, b = b, a - b
                 run.append(b + t)
             # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
             # the factor is undefined and the next value is C(-1, r-1)
             c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
-        a, b, s, t = a + s, b + t, 0, 0
+        if run is None:
+            a, b = x0 * a + y0 * b, x1 * a + y1 * b
+        a, b, s, t, hi = a + s, b + t, 0, 0, lo
     return a - b - c

@@ -195,6 +195,16 @@ class TestSeq:
             "values": ["0", "0", "0", "1", "3", "7"],
         }
 
+    @pytest.mark.parametrize("r, n_from, n_to", [
+        (2, -2, 3), (0, -7, 7), (5, -40, 40), (13, -300, 2), (3, 9, 9), (1, -1, -1), (4, 0, 0),
+    ])
+    def test_json_is_json_dumps_text(self, capsys, r, n_from, n_to):
+        # printed a term at a time, byte for byte what json.dumps gives
+        values = [str(v) for v in verification.sequence(r).terms(n_from, n_to + 1)]
+        expected = json.dumps({"r": r, "from": n_from, "to": n_to, "values": values})
+        argv = ["seq", "--r", str(r), "--from", str(n_from), "--to", str(n_to), "--format", "json"]
+        assert run(capsys, *argv) == (0, expected + "\n", "")
+
     def test_rejects_reversed_range(self, capsys):
         code, _, err = run(capsys, "seq", "--r", "1", "--from", "5", "--to", "0")
         assert code == 2
@@ -461,6 +471,22 @@ class TestUsage:
         _, status, usage = os.wait4(proc.pid, 0)   # this child's own peak RSS
         proc.returncode = os.waitstatus_to_exitcode(status)
         assert (first, proc.returncode) == (b"0 0\n", 141)
+        assert usage.ru_maxrss < 100 * 1024   # KiB
+
+    def test_seq_json_streams(self):
+        # the same run as one JSON line: the child prints it a term at a
+        # time, so it too stops at the closed pipe with a few terms alive
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "100000",
+             "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env(),
+        )
+        head = b'{"r": 2, "from": 0, "to": 100000, "values": ["0", "1", "3", "7", "14", '
+        first = proc.stdout.read(len(head))
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)   # this child's own peak RSS
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert (first, proc.returncode) == (head, 141)
         assert usage.ru_maxrss < 100 * 1024   # KiB
 
 

@@ -174,11 +174,21 @@ class TestWalks:
     def test_walks_are_the_terms(self, r, n):
         _check_walks(r, n)
 
-    @pytest.mark.parametrize("n", [1500, -1500, 3000, -3000])
+    @pytest.mark.parametrize(
+        "n", [512, -512, 513, -513, 1024, -1025, 1535, -1537, 1500, -1500, 3000, -3000]
+    )
     @pytest.mark.parametrize("r", [1, 2, 7, 16])
     def test_walks_across_folds(self, r, n):
-        # the walk folds its small pair into the big one every 512 steps
+        # the walk crosses blocks of 512 steps, the partial one first, with
+        # one map of the big pair per full block; 512, -513, 1024 and -1025
+        # have no partial block, 513 and -512 one of 1 and 511 steps
         _check_walks(r, n)
+
+    @given(st.integers(0, 16), st.integers(-6000, 6000))
+    @settings(max_examples=60, deadline=None)
+    def test_mapped_walks_are_the_terms(self, r, n):
+        # without a run the big pair crosses each full block by one map
+        assert _recurrence(r, n) == sequence(r).term(n)
 
     def test_calls_no_closed_form(self, monkeypatch):
         expected = {n: sequence(5).term(n) for n in (2000, -2000)}
