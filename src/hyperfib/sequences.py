@@ -23,11 +23,17 @@ wherever they are defined, which the test suite uses as a cross-check.  The
 recurrence strategy walks each term as a + s: the big part a takes only the
 plain Fibonacci step, and the small part s takes the corrections.  The walk
 goes in blocks of 512 steps.  Across a block the plain step is one fixed
-linear map, walked once from the unit vectors, so the per-step loop walks
-only the small pair, and at the end of a block the big pair takes the map
-(four products by numbers of about 355 bits) and s is folded into a and
-restarts at 0.  All arithmetic is plain Python int, so results are exact at
-any size.
+linear map, walked once, which the big pair takes at the block's end (four
+products by numbers of about 355 bits); then s is folded into a and restarts
+at 0.  By Vandermonde's identity the correction at step j of a block from k,
+C(k+j+r, r-1), is sum_i C(j, i) * C(k+r, r-1-i) (backward C(k-j+r, r-1) =
+sum_i C(-1-j, i) * C(k+r+1, r-1-i)).  So across a full block the small pair
+moves by a sum of r binomials C(k+r, .) times column pairs that running sums
+of the plain steps give once per direction and that serve every generation.
+Below r = 200 a walk without a run maps its full blocks that way, in O(r)
+products; otherwise, and within the partial block, a per-step loop walks s
+and the correction.  All arithmetic is plain Python int, so results are
+exact at any size.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import cache
 from itertools import accumulate
+from operator import mul, sub
 
 
 class Strategy(Enum):
@@ -157,19 +164,73 @@ def _prefix_row(r: int, n: int) -> list[int]:
     return row
 
 
-_FOLD = 512   # steps in each block of _recurrence's walk
+_FOLD = 512        # steps in each block of _recurrence's walk
+_MAP_BELOW = 200   # generations below it map full blocks (break-even near 210)
 
 
 @cache
-def _block_map(sign: int) -> tuple[int, int, int, int]:
-    # x0, y0, x1, y1 such that _FOLD plain steps a, b = b, a + sign * b
-    # take (a, b) to (x0*a + y0*b, x1*a + y1*b); walked from the unit
-    # vectors (1, 0) and (0, 1), so no closed form is called
-    x0, x1, y0, y1 = 1, 0, 0, 1
+def _plain(sign: int) -> tuple[int, ...]:
+    # g(0.._FOLD+1) with g(0), g(1) = 0, 1 and g(m+2) = g(m) + sign*g(m+1):
+    # m plain steps a, b = b, a + sign*b take (a, b) to
+    # (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); walked, so no closed form is
+    # called
+    g = [0, 1]
     for _ in range(_FOLD):
-        x0, x1 = x1, x0 + sign * x1
-        y0, y1 = y1, y0 + sign * y1
-    return x0, y0, x1, y1
+        g.append(g[-2] + sign * g[-1])
+    return tuple(g)
+
+
+# Per direction sign, the pairs (U_i), (V_i) that _FOLD steps of the walk's
+# own step, s, t = t, s + sign*(t + b), take from (0, 0) when step j adds
+# b = C(j, i) forward or C(-1-j, i) backward, and the sums h_i(0.._FOLD) of
+# the last i.  _columns fills them in order on demand, fewer than _MAP_BELOW
+# per direction, and swaps in a whole new entry, so that a racing call reads
+# a consistent one.
+_COLUMNS = {1: ((), (), ()), -1: ((), (), ())}
+_Columns = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _columns(sign: int, m: int) -> _Columns:
+    # (U_i), (V_i) for at least i < m.  A correction b_j at step j reaches
+    # the block's end as sign * b_j * (g(_FOLD-1-j), g(_FOLD-j)), so with
+    # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(_FOLD-1) and V_i = sign *
+    # h_i(_FOLD).  The b_j have generating function x^i / (1-x)^(i+1)
+    # forward and (-1)^i / (1-x)^(i+1) backward, so h_0 is the running sum
+    # of g, and h_i is the running sum of h_(i-1) before N forward, and
+    # minus it up to N backward: additions only, no closed form
+    us, vs, h = _COLUMNS[sign]
+    if len(us) < m:
+        us, vs = list(us), list(vs)
+        for i in range(len(us), m):
+            if not i:
+                h = list(accumulate(_plain(sign)[:_FOLD + 1]))
+            elif sign > 0:
+                h = list(accumulate(h[:-1], initial=0))
+            else:
+                h = list(accumulate(h, sub, initial=0))[1:]
+            us.append(sign * h[-2])
+            vs.append(sign * h[-1])
+        _COLUMNS[sign] = us, vs, h = tuple(us), tuple(vs), h
+    return us, vs
+
+
+def _binomials(x: int, m: int) -> list[int]:
+    # C(x, 0..m-1) for any integer x, by the exact step
+    # C(x, j+1) = C(x, j) * (x-j) / (j+1), which is never singular
+    steps = accumulate(range(1, m), lambda c, j: c * (x - j + 1) // j, initial=1)
+    return list(steps)[:m]
+
+
+def _mapping(sign: int, r: int, blocks: int) -> _Columns | None:
+    # the columns that map each of a walk's full blocks, or None where
+    # walking them is cheaper: a mapped block takes the r binomials
+    # C(x, 0..r-1) and 2r products, a walked one _FOLD steps, so map only
+    # r < _MAP_BELOW; and since a missing column costs a running sum of
+    # _FOLD + 1 additions, less than a walked block, fill no more of them
+    # than the walk has full blocks
+    if r < _MAP_BELOW and r - len(_COLUMNS[sign][0]) <= blocks:
+        return _columns(sign, r)
+    return None
 
 
 def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
@@ -179,42 +240,62 @@ def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     # the big pair a, b takes only the plain Fibonacci step, and the small
     # pair s, t takes the start values and the corrections.  The walk goes
     # in blocks of _FOLD steps, the partial one first, where a, b = 0, 0.
-    # The per-step loop walks only s, t and c; at a block's end the big
-    # pair takes _block_map, which leaves 0 at 0, and the small pair is
-    # folded into it and restarts at 0.  A given run receives every term
-    # walked before F_r(n), F_r(0..n-1) forward or F_r(-1..n+1) backward,
-    # so with one the big pair steps term by term and takes no map, and one
-    # walk serves every index it passes
+    # At a block's end the big pair takes the map of _FOLD plain steps,
+    # which leaves 0 at 0, and the small pair is folded into it and
+    # restarts at 0.  Within a block the per-step loop walks s, t and c,
+    # but a full block from k that _mapping maps gets its small pair from
+    # the columns: by Vandermonde's identity its correction at step j is
+    # C(k+r+j, r-1) = sum_i C(j, i) * C(k+r, r-1-i) forward and
+    # C(k+r-j, r-1) = sum_i C(-1-j, i) * C(k+r+1, r-1-i) backward.  A given
+    # run receives every term walked before F_r(n), F_r(0..n-1) forward or
+    # F_r(-1..n+1) backward, so with one the big pair steps term by term,
+    # takes no map and no block is mapped, and one walk serves every index
+    # it passes
     if n >= 0:
         # F_r(k) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = 0
         a, b, s, t, c = 0, 0, 0, 1, r
-        x0, y0, x1, y1 = _block_map(1)
+        g = _plain(1)
+        x0, y0, y1 = g[_FOLD - 1], g[_FOLD], g[_FOLD + 1]
+        cols = None if run is not None else _mapping(1, r, n // _FOLD)
         lo = 0
         for hi in range(n % _FOLD, n + 1, _FOLD):
-            for k in range(lo, hi):
-                if run is not None:
-                    run.append(a + s)
-                    a, b = b, a + b
-                s, t = t, s + t + c
-                c = c * (k + r + 1) // (k + 2)
+            if cols and hi - lo == _FOLD:
+                row = _binomials(lo + r, r)[::-1]    # C(lo+r, r-1-i)
+                s, t = (sum(map(mul, row, col)) for col in cols)
+            else:
+                for k in range(lo, hi):
+                    if run is not None:
+                        run.append(a + s)
+                        a, b = b, a + b
+                    s, t = t, s + t + c
+                    c = c * (k + r + 1) // (k + 2)
             if run is None:
-                a, b = x0 * a + y0 * b, x1 * a + y1 * b
+                a, b = x0 * a + y0 * b, y0 * a + y1 * b
             a, b, s, t, lo = a + s, b + t, 0, 0, hi
         return a
     # F_r(k+2) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = -1
     a, b, s, t, c = 0, 0, 1, 0, 1 if r else 0
-    x0, y0, x1, y1 = _block_map(-1)
+    g = _plain(-1)
+    x0, y0, y1 = g[_FOLD - 1], g[_FOLD], g[_FOLD + 1]
+    cols = None if run is not None else _mapping(-1, r, (-1 - n) // _FOLD)
     hi = -1
     for lo in range(-1 - (-1 - n) % _FOLD, n - 1, -_FOLD):
-        for k in range(hi, lo, -1):
-            s, t = t, s - t - c
-            if run is not None:
-                a, b = b, a - b
-                run.append(b + t)
-            # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at k = -r
-            # the factor is undefined and the next value is C(-1, r-1)
-            c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
+        if cols and hi - lo == _FOLD:
+            row = _binomials(hi + r + 1, r)[::-1]    # C(hi+r+1, r-1-i)
+            s, t = (sum(map(mul, row, col)) for col in cols)
+        else:
+            for k in range(hi, lo, -1):
+                s, t = t, s - t - c
+                if run is not None:
+                    a, b = b, a - b
+                    run.append(b + t)
+                # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at
+                # k = -r the factor is undefined and the next value is
+                # C(-1, r-1)
+                c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
         if run is None:
-            a, b = x0 * a + y0 * b, x1 * a + y1 * b
+            a, b = x0 * a + y0 * b, y0 * a + y1 * b
         a, b, s, t, hi = a + s, b + t, 0, 0, lo
+    if cols and r:
+        c = _binomials(n + r, r)[-1]    # C(n+r, r-1): mapped blocks skip c
     return a - b - c

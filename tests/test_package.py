@@ -67,6 +67,13 @@ def test_cli_start_up_skips_heavy_modules():
     assert _fresh("-c", script) == "[]\n"
 
 
+def test_cli_start_up_walks_no_columns():
+    # the recurrence walk's column cache fills on demand, not at import
+    script = ("import hyperfib.cli, hyperfib.sequences as s; "
+              "print(s._COLUMNS == {1: ((), (), ()), -1: ((), (), ())})")
+    assert _fresh("-c", script) == "True\n"
+
+
 def test_deferred_imports_load_when_used():
     script = ("from hyperfib import infer_recurrence; "
               "found = infer_recurrence([4, 2, 1], 1); "

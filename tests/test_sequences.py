@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import hyperfib.sequences as sequences
 from hyperfib.sequences import (
+    _FOLD,
     HyperfibSequence,
     Strategy,
     _prefix_row,
@@ -184,22 +185,76 @@ class TestWalks:
         # have no partial block, 513 and -512 one of 1 and 511 steps
         _check_walks(r, n)
 
-    @given(st.integers(0, 16), st.integers(-6000, 6000))
+    @given(st.integers(0, sequences._MAP_BELOW + 10), st.integers(-6000, 6000))
     @settings(max_examples=60, deadline=None)
     def test_mapped_walks_are_the_terms(self, r, n):
-        # without a run the big pair crosses each full block by one map
+        # without a run the big pair crosses each full block by one map, and
+        # below the cutoff the small pair by the columns
+        _fill_columns(r)
         assert _recurrence(r, n) == sequence(r).term(n)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, sequences._MAP_BELOW - 1])
+    def test_mapped_walks_at_block_edges(self, r, sign):
+        # no partial block, one of 1 step or one of 511 steps, up to 40 full
+        # blocks; backward, full blocks that start at the singular points
+        # k = -r and k = -2 of the carried correction, or end there
+        _fill_columns(r)
+        seq = sequence(r)
+        ns = {sign * (_FOLD * q + d) for q in range(41) for d in (-1, 0, 1)}
+        if sign < 0:
+            ns |= {edge - _FOLD * q for edge in (-r, -r - 1, -2, -3) for q in (1, 2)}
+        for n in sorted(ns):
+            assert _recurrence(r, n) == seq.term(n), n
+
+    @pytest.mark.parametrize("n", [20000, -20000])
+    def test_cutoff_picks_the_path_and_both_agree(self, monkeypatch, n):
+        # the full blocks are mapped just below the cutoff and walked from it
+        # on; forced each way, both paths give the terms on both sides of it
+        cutoff = sequences._MAP_BELOW
+        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
+        for sign in (1, -1):
+            sequences._columns(sign, cutoff)
+        rows = []
+        binomials = sequences._binomials
+        monkeypatch.setattr(sequences, "_binomials",
+                            lambda x, m: rows.append(m) or binomials(x, m))
+        for r in (cutoff - 1, cutoff):
+            expected = sequence(r).term(n)
+            for below in (cutoff, r, r + 1):   # as set, then walked, then mapped
+                monkeypatch.setattr(sequences, "_MAP_BELOW", below)
+                rows.clear()
+                assert _recurrence(r, n) == expected
+                assert bool(rows) == (r < below)
+
+    def test_one_shot_walk_takes_no_more_columns_than_blocks(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
+        assert _recurrence(16, 15 * _FOLD) == sequence(16).term(15 * _FOLD)
+        assert _recurrence(16, -16 * _FOLD - 1) == sequence(16).term(-16 * _FOLD - 1)
+        # 15 full blocks walked forward, 16 mapped backward
+        assert [len(sequences._COLUMNS[sign][0]) for sign in (1, -1)] == [0, 16]
+
     def test_calls_no_closed_form(self, monkeypatch):
-        expected = {n: sequence(5).term(n) for n in (2000, -2000)}
+        expected = {n: sequence(5).term(n) for n in (3000, -3000)}
 
         def closed_form(*args):
             raise AssertionError("the oracle called the closed form")
 
+        # empty caches, so the columns and the plain map are walked here too
+        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
+        sequences._plain.cache_clear()
         monkeypatch.setattr(sequences, "_fib_pair", closed_form)
         monkeypatch.setattr(HyperfibSequence, "_seed", closed_form)
         for n, value in expected.items():
             assert _recurrence(5, n) == value
+        assert [len(sequences._COLUMNS[sign][0]) for sign in (1, -1)] == [5, 5]
+
+
+def _fill_columns(r):
+    # the columns every full block of a walk below the cutoff maps with, so
+    # that such a walk maps them whatever the tests before it filled
+    for sign in (1, -1):
+        sequences._columns(sign, min(r, sequences._MAP_BELOW - 1))
 
 
 class TestHyperfibSequence:
