@@ -7,8 +7,11 @@ Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
-(Cayley-Hamilton), for negative e too when a is unimodular; one kernel
-computes p on plain coefficient sequences.  ``Polynomial`` carries the
+(Cayley-Hamilton), for negative e too when a is unimodular.  One kernel
+computes p on plain coefficient lists in powers of y = x - 1, that is
+a^e = sum q_i (a - I)^i shifted back to powers of a.  When chi has a root
+of high multiplicity at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r
+does, all but two of the q_i stay small.  ``Polynomial`` carries the
 result of ``char_poly`` and offers only products, powers and text.
 """
 
@@ -295,12 +298,22 @@ def char_poly(a: IntMatrix) -> Polynomial:
 def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
     """x^e mod the monic chi, for any integer e; coefficients ascending.
 
-    Walks the bits of |e| from the top on a list of deg(chi) coefficients:
-    each step squares it (symmetric products, k(k+1)/2 multiplies for
-    k = deg(chi)) and reduces by chi, and a 1 bit multiplies by x, or by
-    x^-1 when e < 0, each an O(k) shift and reduce.  With chi = x*h + c_0,
-    x*h = -c_0 mod chi, so when c_0 = +-1 (for chi = det(xI - a): when a is
-    unimodular) x^-1 = -c_0 * h mod chi.
+    Works in y = x - 1, shifting chi to d(y) = chi(1 + y) and the result
+    back (J. von zur Gathen and J. Gerhard, ISSAC 1997), on a list of
+    k = deg(chi) coefficients of p = (1 + y)^e mod d.  The leading bits of
+    e > 0 that stay below k give p = sum C(m, i) y^i outright.  Each
+    further bit squares p (symmetric products, k(k+1)/2 multiplies) and
+    reduces by d over its nonzero low coefficients only, and a 1 bit
+    multiplies by 1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y
+    instead: with chi = x*h + c_0, d = c_0 + (1 + y)g for g(y) = h(1 + y),
+    so when c_0 = +-1 (for chi = det(xI - a): when a is unimodular)
+    (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
+    p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
+
+    The result is exact for any chi; only the speed rests on a root at 1.
+    For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1) has two nonzero
+    low coefficients, and modulo y^r p is sum C(e, i) y^i, so all but the
+    coefficients at y^r and y^(r+1) stay polynomial in e in size.
     """
     c = chi
     if not c or c[-1] != 1:
@@ -310,8 +323,17 @@ def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
         raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c[0]})")
     if k == 0:
         return []   # everything is 0 mod 1
+    d = _shift(c, 1)
+    low = [(i, di) for i, di in enumerate(d[:k]) if di]   # y^k = -sum d_i y^i
+    if e < 0:
+        g = _shift(c[1:], 1)
+    bits = bin(abs(e))[2:]
+    lead = k.bit_length() - 1 if e > 0 else 0   # leading bits whose value m < k
+    m = int(bits[:lead] or "0", 2)
     p = [1] + [0] * (k - 1)
-    for bit in bin(abs(e))[2:]:
+    for i in range(m):   # (1 + y)^m, no reduction
+        p[i + 1] = p[i] * (m - i) // (i + 1)
+    for bit in bits[lead:]:
         sq = [0] * (2 * k - 1)
         for i, a in enumerate(p):   # p^2 by symmetric products
             if a:
@@ -319,17 +341,30 @@ def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
                 a2 = 2 * a
                 for j in range(i + 1, k):
                     sq[i + j] += a2 * p[j]
-        for top in range(2 * k - 2, k - 1, -1):   # x^k = -sum c_i x^i
+        for top in range(2 * k - 2, k - 1, -1):
             t = sq[top]
             if t:
-                for i in range(k):
-                    sq[top - k + i] -= t * c[i]
+                for i, di in low:
+                    sq[top - k + i] -= t * di
         p = sq[:k]
         if bit == "1":
-            if e > 0:   # x * p, then x^k = -sum c_i x^i
-                t = p.pop()
-                p = [x - t * ci for x, ci in zip([0] + p, c)]
-            else:       # p_0 * x^-1 + (p - p_0) / x
-                t = -c[0] * p[0]
-                p = [x + t * ci for x, ci in zip(p[1:] + [0], c[1:])]
-    return p
+            if e > 0:   # (1 + y) * p, then y^k = -sum d_i y^i
+                t = p[-1]
+                p = [a + b - t * di for a, b, di in zip(p, [0] + p, d)]
+            else:       # s - c_0 * p(-1) * g, where p = p(-1) + (1 + y)s
+                s, t = [0] * k, 0
+                for j in range(k - 1, 0, -1):
+                    t = s[j - 1] = p[j] - t
+                t = -c[0] * (p[0] - t)
+                p = [a + t * gi for a, gi in zip(s, g)]
+    return _shift(p, -1)
+
+
+def _shift(c: Sequence[int], s: int) -> list[int]:
+    """Coefficients of c(x + s), by repeated synthetic division by x - s."""
+    a = list(c)
+    for i in range(len(a) - 1):
+        t = a[-1]
+        for j in range(len(a) - 2, i - 1, -1):
+            t = a[j] = a[j] + s * t
+    return a

@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperfib.verify as verification
@@ -501,6 +501,29 @@ class TestXPowMod:
             assert power == expected, -e
             product = Polynomial(power) * Polynomial(_x_pow_mod(e, chi))
             assert _remainder(product.coeffs, chi) == one, e
+
+    @given(st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 10),
+           st.lists(st.integers(-300, 300), min_size=1, max_size=4))
+    @example([], 10, [300, -300, 299, -1])   # chi = (x - 1)^10
+    @example([-1, -1], 0, [300, -300, 2])    # chi = x^2 - x - 1, chi(1) = -1
+    @settings(max_examples=60, deadline=None)
+    def test_root_at_one_of_any_multiplicity(self, low, m, exponents):
+        # chi = h(x) (x - 1)^m, h monic of degree 0..4: in powers of x - 1 the
+        # multiplicity m sets how many coefficients of x^e stay binomials
+        chi = (Polynomial((*low, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        top = max(abs(e) for e in exponents) + 1
+        powers = _step_powers(Polynomial((0, 1)), chi, top)
+        if chi[0] in (1, -1):
+            inverse = Polynomial(tuple(-chi[0] * c for c in chi[1:]))
+            inverses = _step_powers(inverse, chi, top)
+        for e in exponents:
+            if e >= 0:
+                assert _x_pow_mod(e, chi) == powers[e], e
+            elif chi[0] in (1, -1):
+                assert _x_pow_mod(e, chi) == inverses[-e], e
+            else:
+                with pytest.raises(ValueError, match="not unimodular"):
+                    _x_pow_mod(e, chi)
 
 
 def _x_minus(matrix):

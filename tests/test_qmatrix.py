@@ -118,6 +118,11 @@ class TestReconstruct:
         assert value == sequence(r).term(n)
 
     @pytest.mark.parametrize("r", range(0, 17))
+    def test_matpow_is_the_closed_form_on_the_terms_grid(self, r):
+        for n in (20_000, -20_000):
+            assert hyperfib(r, n, Strategy.MATRIX_POWER) == sequence(r).term(n), n
+
+    @pytest.mark.parametrize("r", range(0, 17))
     def test_matpow_term_is_the_top_left_entry(self, r):
         for n in [-10**4, *range(-50, 51), 10**4]:
             assert hyperfib(r, n, Strategy.MATRIX_POWER) == reconstruct(r, n).get(0, 0), n
