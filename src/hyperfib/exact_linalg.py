@@ -312,8 +312,8 @@ def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
 
     The result is exact for any chi; only the speed rests on a root at 1.
     For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1) has two nonzero
-    low coefficients, and modulo y^r p is sum C(e, i) y^i, so all but the
-    coefficients at y^r and y^(r+1) stay polynomial in e in size.
+    low coefficients, and p mod y^r = sum_(i<r) C(e, i) y^i, so all but
+    the coefficients at y^r and y^(r+1) stay polynomial in e in size.
     """
     c = chi
     if not c or c[-1] != 1:
