@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable
 
 from . import verify as verification
 from .cassini import build_window
-from .exact_linalg import det, to_decimal
+from .exact_linalg import _COFACTOR_MAX, _COFACTOR_REFUSAL, det, to_decimal
 from .qmatrix import build_q, q_closed_tail
 from .sequences import Strategy, hyperfib, sequence
 
@@ -118,6 +118,8 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_det(args) -> int:
+    if args.method == "cofactor" and args.m > _COFACTOR_MAX:   # before building M x M
+        raise ValueError(_COFACTOR_REFUSAL)
     window = build_window(args.m, args.n, args.r)
     print(_text(det(window, method=args.method)))
     return 0

@@ -159,6 +159,11 @@ def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
     return IntMatrix(a.rows, tuple(total))
 
 
+_COFACTOR_MAX = 6   # the largest size the cofactor oracle expands
+_COFACTOR_REFUSAL = (f"cofactor determinant is an oracle for matrices up to "
+                     f"{_COFACTOR_MAX}x{_COFACTOR_MAX}")
+
+
 def det(a: IntMatrix, method: str = "bareiss") -> int:
     """Exact determinant.
 
@@ -168,8 +173,8 @@ def det(a: IntMatrix, method: str = "bareiss") -> int:
     if method == "bareiss":
         return _bareiss(a.to_rows())
     if method == "cofactor":
-        if a.rows > 6:
-            raise ValueError("cofactor determinant is an oracle for matrices up to 6x6")
+        if a.rows > _COFACTOR_MAX:
+            raise ValueError(_COFACTOR_REFUSAL)
         return _cofactor(a.to_rows())
     raise ValueError(f"unknown determinant method: {method!r}")
 

@@ -20,20 +20,23 @@ for every integer n, with C the polynomial binomial and F by fast doubling
 IPL 75, 2000).  ``HyperfibSequence`` seeds runs of terms from it and keeps
 no cache.  Three independent evaluation strategies are provided and agree
 wherever they are defined, which the test suite uses as a cross-check.  The
-recurrence strategy walks each term as a + s: the big part a takes only the
-plain Fibonacci step, and the small part s takes the corrections.  The walk
-goes in blocks of 512 steps.  Across a block the plain step is one fixed
-linear map, walked once, which the big pair takes at the block's end (four
-products by numbers of about 355 bits); then s is folded into a and restarts
-at 0.  By Vandermonde's identity the correction at step j of a block from k,
-C(k+j+r, r-1), is sum_i C(j, i) * C(k+r, r-1-i) (backward C(k-j+r, r-1) =
-sum_i C(-1-j, i) * C(k+r+1, r-1-i)).  So across a full block the small pair
-moves by a sum of r binomials C(k+r, .) times column pairs that running sums
-of the plain steps give once per direction and that serve every generation.
-Below r = 200 a walk without a run maps its full blocks that way, in O(r)
-products; otherwise, and within the partial block, a per-step loop walks s
-and the correction.  All arithmetic is plain Python int, so results are
-exact at any size.
+recurrence strategy walks both signs of n the same way: W(j) = F_r(j), from
+W(0), W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0,
+by its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  Each walked
+term is a + s: the big part a takes only the plain Fibonacci step (or its
+backward form), and the small part s takes the corrections.  The walk goes
+in blocks of 512 steps.  Across a block the plain step is one fixed linear
+map, walked once, which the big pair takes at the block's end (four products
+by numbers of about 355 bits); then s is folded into a and restarts at 0.
+By Vandermonde's identity the correction at step i of a block from step j,
+C(r+j+i, r-1), is sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) =
+sum_k C(-1-i, k) * C(r-j, r-1-k)).  So across a full block the small pair
+moves by a sum of r binomials C(r+j, .) or C(r-j, .) times column pairs that
+running sums of the plain steps give once per direction and that serve every
+generation.  Below r = 200 a walk without a run maps its full blocks that
+way, in O(r) products; otherwise, and within the partial block, a per-step
+loop walks s and the correction.  All arithmetic is plain Python int, so
+results are exact at any size.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections.abc import Iterator
 from enum import Enum
 from functools import cache
 from itertools import accumulate
-from operator import mul, sub
+from operator import add, mul, sub
 
 
 class Strategy(Enum):
@@ -187,10 +190,9 @@ def _plain(sign: int) -> tuple[int, ...]:
 # per direction, and swaps in a whole new entry, so that a racing call reads
 # a consistent one.
 _COLUMNS = {1: ((), (), ()), -1: ((), (), ())}
-_Columns = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _columns(sign: int, m: int) -> _Columns:
+def _columns(sign: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # (U_i), (V_i) for at least i < m.  A correction b_j at step j reaches
     # the block's end as sign * b_j * (g(_FOLD-1-j), g(_FOLD-j)), so with
     # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(_FOLD-1) and V_i = sign *
@@ -221,81 +223,49 @@ def _binomials(x: int, m: int) -> list[int]:
     return list(steps)[:m]
 
 
-def _mapping(sign: int, r: int, blocks: int) -> _Columns | None:
-    # the columns that map each of a walk's full blocks, or None where
-    # walking them is cheaper: a mapped block takes the r binomials
-    # C(x, 0..r-1) and 2r products, a walked one _FOLD steps, so map only
-    # r < _MAP_BELOW; and since a missing column costs a running sum of
-    # _FOLD + 1 additions, less than a walked block, fill no more of them
-    # than the walk has full blocks
-    if r < _MAP_BELOW and r - len(_COLUMNS[sign][0]) <= blocks:
-        return _columns(sign, r)
-    return None
-
-
 def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
-    # rolling two-term window, O(1) memory, with the correction
-    # C(k+r, r-1) carried in O(1) per step; it calls no closed form, so the
-    # tests hold HyperfibSequence against it.  Each walked term is a + s:
-    # the big pair a, b takes only the plain Fibonacci step, and the small
-    # pair s, t takes the start values and the corrections.  The walk goes
-    # in blocks of _FOLD steps, the partial one first, where a, b = 0, 0.
-    # At a block's end the big pair takes the map of _FOLD plain steps,
-    # which leaves 0 at 0, and the small pair is folded into it and
-    # restarts at 0.  Within a block the per-step loop walks s, t and c,
-    # but a full block from k that _mapping maps gets its small pair from
-    # the columns: by Vandermonde's identity its correction at step j is
-    # C(k+r+j, r-1) = sum_i C(j, i) * C(k+r, r-1-i) forward and
-    # C(k+r-j, r-1) = sum_i C(-1-j, i) * C(k+r+1, r-1-i) backward.  A given
-    # run receives every term walked before F_r(n), F_r(0..n-1) forward or
-    # F_r(-1..n+1) backward, so with one the big pair steps term by term,
-    # takes no map and no block is mapped, and one walk serves every index
-    # it passes
+    # one walk for both signs of n.  W(j) = F_r(j) forward (sign 1) or
+    # F_r(1-j) backward (sign -1) starts W(0), W(1) = 0, 1 or 1, 0 and steps
+    # W(j+2) = W(j) + sign*(W(j+1) + C(y, r-1)), y = r+j forward and r-1-j
+    # backward, to W(steps) = F_r(n), steps = n or 1-n.  It calls no closed
+    # form, so the tests hold HyperfibSequence against it.  Each term is
+    # a + s: the big pair a, b takes only the plain step, the small pair
+    # s, t the start values and the corrections.  The walk goes in blocks of
+    # _FOLD steps, the partial one first, where a, b = 0, 0; at a block's end
+    # the big pair takes the map of _FOLD plain steps, which leaves 0 at 0,
+    # and the small pair is folded into it and restarts at 0.  The per-step
+    # loop carries C(y, r-1) by the exact step c * (d + e) / d, where d is 0
+    # only as backward y goes from 0 to -1.  A full block from step j may
+    # take its small pair from the columns instead: by Vandermonde's
+    # identity its correction at step j+i is sum_k C(i, k) * C(r+j, r-1-k)
+    # forward and sum_k C(-1-i, k) * C(r-j, r-1-k) backward.  A mapped
+    # block costs the r binomials C(r + sign*j, .) and 2r products, a walked
+    # one _FOLD steps, so only r < _MAP_BELOW maps; and as a missing column
+    # costs a running sum of _FOLD + 1 additions, less than a walked block,
+    # no more of them are filled than the walk has full blocks.  A given run
+    # receives W(0..steps-1), F_r(0..n-1) forward or F_r(1), F_r(0), ...,
+    # F_r(n+1) backward; with one, the walk is one block and nothing is
+    # mapped, so s, t are the terms themselves
     if n >= 0:
-        # F_r(k) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = 0
-        a, b, s, t, c = 0, 0, 0, 1, r
-        g = _plain(1)
-        x0, y0, y1 = g[_FOLD - 1], g[_FOLD], g[_FOLD + 1]
-        cols = None if run is not None else _mapping(1, r, n // _FOLD)
-        lo = 0
-        for hi in range(n % _FOLD, n + 1, _FOLD):
-            if cols and hi - lo == _FOLD:
-                row = _binomials(lo + r, r)[::-1]    # C(lo+r, r-1-i)
-                s, t = (sum(map(mul, row, col)) for col in cols)
-            else:
-                for k in range(lo, hi):
-                    if run is not None:
-                        run.append(a + s)
-                        a, b = b, a + b
-                    s, t = t, s + t + c
-                    c = c * (k + r + 1) // (k + 2)
-            if run is None:
-                a, b = x0 * a + y0 * b, y0 * a + y1 * b
-            a, b, s, t, lo = a + s, b + t, 0, 0, hi
-        return a
-    # F_r(k+2) = a + s, F_r(k+1) = b + t, C(k+r, r-1) at k = -1
-    a, b, s, t, c = 0, 0, 1, 0, 1 if r else 0
-    g = _plain(-1)
+        sign, op, steps, s, t, c, d0 = 1, add, n, 0, 1, r, 2
+    else:
+        sign, op, steps, s, t, c, d0 = -1, sub, 1 - n, 1, 0, min(r, 1), r - 1
+    e = sign * (r - 1)
+    g = _plain(sign)
     x0, y0, y1 = g[_FOLD - 1], g[_FOLD], g[_FOLD + 1]
-    cols = None if run is not None else _mapping(-1, r, (-1 - n) // _FOLD)
-    hi = -1
-    for lo in range(-1 - (-1 - n) % _FOLD, n - 1, -_FOLD):
+    cols = None
+    if run is None and r < _MAP_BELOW and r - len(_COLUMNS[sign][0]) <= steps // _FOLD:
+        cols = _columns(sign, r)
+    a = b = lo = 0
+    for hi in range(steps % _FOLD if run is None else steps, steps + 1, _FOLD):
         if cols and hi - lo == _FOLD:
-            row = _binomials(hi + r + 1, r)[::-1]    # C(hi+r+1, r-1-i)
+            row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
             s, t = (sum(map(mul, row, col)) for col in cols)
         else:
-            for k in range(hi, lo, -1):
-                s, t = t, s - t - c
+            for d in range(d0 + sign * lo, d0 + sign * hi, sign):
                 if run is not None:
-                    a, b = b, a - b
-                    run.append(b + t)
-                # C(k-1+r, r-1) = C(k+r, r-1) * (k+1) / (k+r) exactly; at
-                # k = -r the factor is undefined and the next value is
-                # C(-1, r-1)
-                c = c * (k + 1) // (k + r) if k != -r else (-1) ** (r - 1)
-        if run is None:
-            a, b = x0 * a + y0 * b, y0 * a + y1 * b
-        a, b, s, t, hi = a + s, b + t, 0, 0, lo
-    if cols and r:
-        c = _binomials(n + r, r)[-1]    # C(n+r, r-1): mapped blocks skip c
-    return a - b - c
+                    run.append(s)
+                s, t = t, op(s, t + c)
+                c = c * (d + e) // d if d else (-1) ** (r - 1)
+        a, b, s, t, lo = x0 * a + y0 * b + s, y0 * a + y1 * b + t, 0, 0, hi
+    return a

@@ -119,7 +119,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(0, r_max + 1):
         expected = sequence(r).terms(n_min, n_max + 1)
-        prefix, forward, backward = [], [], []   # F_r(0..n_max) twice, F_r(-1..n_min)
+        prefix, forward, backward = [], [], []   # F_r(0..n_max) twice, F_r(1..n_min)
         if n_max >= 0:
             prefix = _prefix_row(r, n_max)
             forward.append(_recurrence(r, n_max, forward))
@@ -130,7 +130,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
             cases += 1
             for strat, value in (
                 (Strategy.PREFIX_SUM, prefix[n] if n >= 0 else None),
-                (Strategy.RECURRENCE, forward[n] if n >= 0 else backward[~n]),
+                (Strategy.RECURRENCE, forward[n] if n >= 0 else backward[1 - n]),
                 (Strategy.MATRIX_POWER, _power_terms(setup, n, 1)[0]),
             ):
                 if value is not None and value != reference:

@@ -14,7 +14,7 @@ import hyperfib.qmatrix as qmatrix
 import hyperfib.verify as verification
 from hyperfib.cassini import hankel, predicted_sign
 from hyperfib.cli import main
-from hyperfib.exact_linalg import det
+from hyperfib.exact_linalg import IntMatrix, det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
 
@@ -276,6 +276,18 @@ class TestDet:
                            "--method", "cofactor")
         assert code == 2
         assert "error" in err
+
+    def test_cofactor_size_cap_comes_before_the_window(self, capsys, monkeypatch):
+        def build_window(*args):
+            raise AssertionError("the window was built")
+
+        monkeypatch.setattr(cli, "build_window", build_window)
+        with pytest.raises(ValueError) as refused:
+            det(IntMatrix.identity(7), method="cofactor")
+        code, _, err = run(capsys, "det", "--m", "7", "--n", "0", "--r", "1",
+                           "--method", "cofactor")
+        assert code == 2
+        assert err == f"error: {refused.value}\n"
 
 
 class TestVerifyCommand:

@@ -35,12 +35,12 @@ class TestFibonacci:
         assert fibonacci(-n) == (-1) ** (n + 1) * fibonacci(n)
 
     def test_doubling_matches_recurrence(self):
-        # one walk each way yields F(0..3000) and F(-1..-3000)
+        # one walk each way yields F(0..3000) and F(1..-3000)
         forward, backward = [], []
         forward.append(_recurrence(0, 3000, forward))
         backward.append(_recurrence(0, -3000, backward))
         assert [fibonacci(n) for n in range(0, 3001)] == forward
-        assert [fibonacci(n) for n in range(-1, -3001, -1)] == backward
+        assert [fibonacci(n) for n in range(1, -3001, -1)] == backward
 
 
 def _correction(r, n):
@@ -153,10 +153,10 @@ class TestIdentities:
 
 def _check_walks(r, n):
     # the run _recurrence fills, then its return value, are the terms it
-    # walked: F_r(0..n) forward, F_r(-1), F_r(-2), ..., F_r(n) backward
+    # walked: F_r(0..n) forward, F_r(1), F_r(0), ..., F_r(n) backward
     run = []
     value = _recurrence(r, n, run)
-    walked = sequence(r).terms(0, n + 1) if n >= 0 else sequence(r).terms(n, 0)[::-1]
+    walked = sequence(r).terms(0, n + 1) if n >= 0 else sequence(r).terms(n, 2)[::-1]
     assert run + [value] == walked
     assert value == _recurrence(r, n)
     if n >= 0:
@@ -176,13 +176,15 @@ class TestWalks:
         _check_walks(r, n)
 
     @pytest.mark.parametrize(
-        "n", [512, -512, 513, -513, 1024, -1025, 1535, -1537, 1500, -1500, 3000, -3000]
+        "n", [512, -512, 513, -513, 1024, -1025, 1535, -1537, 1500, -1500, 3000, -3000,
+              -511, -1023, -1022, -1534]
     )
     @pytest.mark.parametrize("r", [1, 2, 7, 16])
     def test_walks_across_folds(self, r, n):
-        # the walk crosses blocks of 512 steps, the partial one first, with
-        # one map of the big pair per full block; 512, -513, 1024 and -1025
-        # have no partial block, 513 and -512 one of 1 and 511 steps
+        # without a run the walk of n or 1 - n steps crosses blocks of 512
+        # steps, the partial one first, with one map of the big pair per full
+        # block; 512, 1024, -511 and -1023 have no partial block, 513 and
+        # -512 one of 1 step, 1535 and -1022 one of 511 steps
         _check_walks(r, n)
 
     @given(st.integers(0, sequences._MAP_BELOW + 10), st.integers(-6000, 6000))
@@ -196,14 +198,17 @@ class TestWalks:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, sequences._MAP_BELOW - 1])
     def test_mapped_walks_at_block_edges(self, r, sign):
-        # no partial block, one of 1 step or one of 511 steps, up to 40 full
-        # blocks; backward, full blocks that start at the singular points
-        # k = -r and k = -2 of the carried correction, or end there
+        # walks of n or 1 - n steps with no partial block, one of 1 step or
+        # one of 511 steps, up to 40 full blocks; backward, full blocks that
+        # start at step r - 1, r or r + 1, around the singular step of the
+        # carried correction, C(0, r-1) -> C(-1, r-1)
         _fill_columns(r)
         seq = sequence(r)
         ns = {sign * (_FOLD * q + d) for q in range(41) for d in (-1, 0, 1)}
         if sign < 0:
+            ns |= {1 - _FOLD * q - d for q in range(1, 41) for d in (-1, 0, 1)}
             ns |= {edge - _FOLD * q for edge in (-r, -r - 1, -2, -3) for q in (1, 2)}
+            ns |= {1 - step - _FOLD * q for step in (r - 1, r, r + 1) for q in (1, 2)}
         for n in sorted(ns):
             assert _recurrence(r, n) == seq.term(n), n
 
