@@ -9,7 +9,8 @@ for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
 (Cayley-Hamilton), for negative e too when a is unimodular.  One kernel
 computes p on plain coefficient lists in powers of y = x - 1, that is
-a^e = sum q_i (a - I)^i shifted back to powers of a.  When chi has a root
+a^e = sum q_i (a - I)^i; ``mat_pow`` shifts q back to powers of a, and
+callers that can use the powers of a - I keep it.  When chi has a root
 of high multiplicity at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r
 does, all but two of the q_i stay small.  ``Polynomial`` carries the
 result of ``char_poly`` and offers only products, powers and text.
@@ -303,16 +304,38 @@ def char_poly(a: IntMatrix) -> Polynomial:
 def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
     """x^e mod the monic chi, for any integer e; coefficients ascending.
 
-    Works in y = x - 1, shifting chi to d(y) = chi(1 + y) and the result
-    back (J. von zur Gathen and J. Gerhard, ISSAC 1997), on a list of
-    k = deg(chi) coefficients of p = (1 + y)^e mod d.  The leading bits of
-    e > 0 that stay below k give p = sum C(m, i) y^i outright.  Each
-    further bit squares p (symmetric products, k(k+1)/2 multiplies) and
-    reduces by d over its nonzero low coefficients only, and a 1 bit
-    multiplies by 1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y
-    instead: with chi = x*h + c_0, d = c_0 + (1 + y)g for g(y) = h(1 + y),
-    so when c_0 = +-1 (for chi = det(xI - a): when a is unimodular)
-    (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
+    ``_y_pow_mod`` on ``_shift_chi(chi)``, shifted back to powers of x
+    (J. von zur Gathen and J. Gerhard, ISSAC 1997).
+    """
+    return _shift(_y_pow_mod(e, *_shift_chi(chi)), -1)
+
+
+def _shift_chi(chi: Sequence[int]) -> tuple[list[int], list[int]]:
+    """d(y) = chi(1 + y) and g = (d - chi(0)) / (1 + y), for ``_y_pow_mod``.
+
+    With chi = x*h + c_0, g(y) = h(1 + y).  Both depend on chi alone, so
+    callers that power x modulo one chi at many e shift it once.
+    """
+    if not chi or chi[-1] != 1:
+        raise ValueError("remainder needs a monic divisor")
+    d = _shift(chi, 1)
+    g = d[1:]   # synthetic division by 1 + y, top down
+    for j in range(len(g) - 2, -1, -1):
+        g[j] -= g[j + 1]
+    return d, g
+
+
+def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
+    """p = (1 + y)^e mod d, for any integer e; (d, g) = ``_shift_chi(chi)``.
+
+    So x^e = sum p_i (x - 1)^i mod chi.  The kernel works on a list of
+    k = deg(d) coefficients.  The leading bits of e > 0 that stay below k
+    give p = sum C(m, i) y^i outright.  Each further bit squares p
+    (symmetric products, k(k+1)/2 multiplies) and reduces by d over its
+    nonzero low coefficients only, and a 1 bit multiplies by 1 + y, an O(k)
+    shift-add.  For e < 0 it divides by 1 + y instead: d = c_0 + (1 + y)g,
+    so when c_0 = chi(0) = +-1 (for chi = det(xI - a): when a is
+    unimodular) (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
     p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
 
     The result is exact for any chi; only the speed rests on a root at 1.
@@ -320,18 +343,13 @@ def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
     low coefficients, and p mod y^r = sum_(i<r) C(e, i) y^i, so all but
     the coefficients at y^r and y^(r+1) stay polynomial in e in size.
     """
-    c = chi
-    if not c or c[-1] != 1:
-        raise ValueError("remainder needs a monic divisor")
-    k = len(c) - 1
-    if e < 0 and c[0] not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c[0]})")
+    k = len(d) - 1
     if k == 0:
         return []   # everything is 0 mod 1
-    d = _shift(c, 1)
+    c0 = d[0] - g[0]   # chi(0), as d = chi(0) + (1 + y)g
+    if e < 0 and c0 not in (1, -1):
+        raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c0})")
     low = [(i, di) for i, di in enumerate(d[:k]) if di]   # y^k = -sum d_i y^i
-    if e < 0:
-        g = _shift(c[1:], 1)
     bits = bin(abs(e))[2:]
     lead = k.bit_length() - 1 if e > 0 else 0   # leading bits whose value m < k
     m = int(bits[:lead] or "0", 2)
@@ -360,9 +378,9 @@ def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
                 s, t = [0] * k, 0
                 for j in range(k - 1, 0, -1):
                     t = s[j - 1] = p[j] - t
-                t = -c[0] * (p[0] - t)
+                t = -c0 * (p[0] - t)
                 p = [a + t * gi for a, gi in zip(s, g)]
-    return _shift(p, -1)
+    return p
 
 
 def _shift(c: Sequence[int], s: int) -> list[int]:

@@ -8,9 +8,10 @@ back-substitution against the terms around index 0 (where every generation
 has a long run of zeros); ``infer_recurrence`` re-derives them generically
 as the minimal recurrence fitting a prefix, giving an independent
 cross-check, and the last three weights also have closed forms.  Powers Q^n,
-as x^n mod the characteristic polynomial, give the windows at any index n,
-and the matpow term strategy reads single terms from the same sum, with
-the weights and the terms it weights taken from one run at index 0.
+as sums of powers of Q - I (x^n mod the characteristic polynomial, in
+powers of x - 1), give the windows at any index n, and the matpow term
+strategy reads single terms from the same sum, with the weights and the
+differences it weights taken from one run at index 0.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
+from operator import sub
 
 from .cassini import hankel
-from .exact_linalg import IntMatrix, _exact_div, _Record, _x_pow_mod
+from .exact_linalg import IntMatrix, _exact_div, _Record, _shift_chi, _y_pow_mod
 from .sequences import sequence
 
 TYPE_CHECKING = False   # true for type checkers, which resolve Fraction below
@@ -74,32 +76,41 @@ def q_closed_tail(r: int) -> tuple[int, int, int]:
 def reconstruct(r: int, n: int) -> IntMatrix:
     """The (r+2)-window at index n, as Q^n times the window at 0.
 
-    Q^n = sum p_i Q^i, p = x^n mod det(xI - Q) (C. M. Fiduccia, SIAM J.
-    Comput. 14, 1985), and Q^i times the window at 0 is the window at i, so
-    only Q's weights and the run F_r(0..3r+3) are read.  Negative n works
-    because q_1 = +-1 makes Q unimodular.
+    Q^n = sum q_i (Q - I)^i, q = (1 + y)^n mod chi(1 + y) with
+    chi = det(xI - Q) (C. M. Fiduccia, SIAM J. Comput. 14, 1985), and
+    (Q - I)^i times the window at 0 is the window of the i-th forward
+    differences, so only Q's weights and the run F_r(0..3r+3) are read.
+    Negative n works because the weight q_1 = +-1 makes Q unimodular.
     """
     k = r + 2
     return hankel(_power_terms(_power_setup(r), n, 2 * k - 1), k)
 
 
-def _power_setup(r: int) -> tuple[list[int], tuple[int, ...]]:
-    """The run F_r(0..3r+3) and chi = x^k - sum q_i x^(i-1), k = r+2.
+def _power_setup(r: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
+    """``_shift_chi(chi)`` and the forward differences of the run F_r(0..3r+3).
 
-    Both depend on r alone, so callers that power one generation at many
-    n compute them once.  The weights come from the run itself: the closed
-    form is seeded only at 0.
+    chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
+    Delta^i F_r(j), i < k.  Both depend on r alone, so callers that
+    power one generation at many n compute them once.  The weights come
+    from the run itself: the closed form is seeded only at 0.
     """
     k = r + 2
     run = sequence(r).terms(0, 3 * k - 2)
-    return run, tuple(-x for x in _weights(run, k)) + (1,)
+    chi = tuple(-x for x in _weights(run, k)) + (1,)
+    diffs = [run]
+    for _ in range(k - 1):
+        run = list(map(sub, run[1:], run))
+        diffs.append(run)
+    return _shift_chi(chi), diffs
 
 
-def _power_terms(setup: tuple[list[int], tuple[int, ...]], n: int, count: int) -> list[int]:
-    # F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi; count <= 2r+3
-    run, chi = setup
-    p = _x_pow_mod(n, chi)
-    return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
+def _power_terms(setup: tuple[tuple[list[int], list[int]], list[list[int]]], n: int,
+                 count: int) -> list[int]:
+    # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
+    # count <= 2r+3
+    shifted, diffs = setup
+    q = _y_pow_mod(n, *shifted)
+    return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]
 
 
 def infer_recurrence(terms: Sequence[int], max_order: int) -> list[int | Fraction]:

@@ -5,12 +5,16 @@ reports every case that disagrees.  A case is one claim at one input, even
 where a suite shares work between cases:
 
 - cassini and zero cut their windows from one closed-form run per
-  generation.  The zero suite decides its four oversized windows at each
-  start from the residual of the run under the characteristic polynomial,
-  and eliminates each window only where that is nonzero.
+  generation, and both read the residual of the run under the
+  characteristic polynomial.  The cassini suite eliminates the first
+  window of each generation and takes each later determinant as minus the
+  one before, where the residual under both windows is zero; any other
+  window gets its own elimination.  The zero suite decides its four
+  oversized windows at each start from the residual, and eliminates each
+  window only where that is nonzero.
 - crosscheck walks the prefix and recurrence routes once per generation
-  and takes matpow's run and chi once per generation; each matpow case
-  still computes its own power x^n mod chi.
+  and takes matpow's shifted chi and differences once per generation;
+  each matpow case still computes its own power (1 + y)^n mod chi(1 + y).
 - general walks each random pair once for all its window sizes.
 
 Suites are deterministic; the one randomized suite (general) draws from a
@@ -61,10 +65,8 @@ def _chi(r: int) -> Polynomial:
 def _suite_cassini(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(1, r_max + 1):
-        m = r + 2
-        run = sequence(r).terms(n_min, n_max + 2 * m - 1)
-        for i, n in enumerate(range(n_min, n_max + 1)):
-            d = _bareiss([run[i + a:i + a + m] for a in range(m)])
+        run = sequence(r).terms(n_min, n_max + 2 * (r + 2) - 1)
+        for n, d in zip(range(n_min, n_max + 1), _cassini_dets(run, r)):
             predicted = predicted_sign(r, n)
             cases += 1
             if d != predicted:
@@ -94,6 +96,37 @@ def _suite_zero(r_max, n_min, n_max, rng):
     return cases, failures
 
 
+def _residuals(run: list[int], chi: Sequence[int]) -> list[int]:
+    # e(s) = sum_t chi_t run[s+t] at each s where the run covers chi
+    k = len(chi) - 1
+    return [sum(map(mul, chi, run[s:s + k + 1])) for s in range(len(run) - k)]
+
+
+def _cassini_dets(run: list[int], r: int) -> list[int]:
+    """dets of the Hankel windows of size k = r+2 at each start of the run.
+
+    With chi = ``_chi(r)``, monic of degree k, and C_t the column
+    run[i-1+t:i-1+t+k], window i-1 has columns C_0..C_(k-1) and window i
+    has C_1..C_k.  Row a of C_k + sum_(t<k) chi_t C_t is
+    e(i-1+a) = sum_t chi_t run[i-1+a+t].  Where e is zero on i-1..i+k-2,
+    C_k = -sum_(t<k) chi_t C_t, and every term but t = 0 is a column of
+    window i already, so det(window i) = (-1)^k chi_0 det(window i-1),
+    which is -det(window i-1) as chi_0 = (-1)^(r+1).  The first start, and
+    any start where e is nonzero, gets its own Bareiss elimination.  The
+    result is exact for any run; only the speed rests on chi annihilating
+    it.
+    """
+    k = r + 2
+    e = _residuals(run, _chi(r).coeffs)
+    dets = []
+    for i in range(len(run) - 2 * k + 2):
+        if i and not any(e[i - 1:i + k - 1]):
+            dets.append(-dets[-1])
+        else:
+            dets.append(_bareiss([run[i + a:i + a + k] for a in range(k)]))
+    return dets
+
+
 def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
     """dets of the Hankel windows of sizes r+3..r+6 at each start of the run.
 
@@ -106,8 +139,7 @@ def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
     is exact for any run; only the speed rests on chi annihilating it.
     """
     m, k = r + 6, r + 2
-    chi = _chi(r).coeffs
-    e = [sum(map(mul, chi, run[s:s + k + 1])) for s in range(len(run) - k)]
+    e = _residuals(run, _chi(r).coeffs)
     return [[0] * 4 if not any(e[i:i + m]) else
             [_bareiss([run[i + a:i + a + j] for a in range(j)]) for j in range(k + 1, m + 1)]
             for i in range(len(run) - 2 * m + 2)]

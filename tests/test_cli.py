@@ -572,14 +572,14 @@ class TestVerifyModule:
         )
 
     def test_one_power_per_matpow_case(self, monkeypatch):
-        # every matpow case is an independent power of x mod chi
-        actual, powers = qmatrix._x_pow_mod, []
+        # every matpow case is an independent power of 1 + y mod chi(1 + y)
+        actual, powers = qmatrix._y_pow_mod, []
 
-        def counted(e, chi):
+        def counted(e, d, g):
             powers.append(e)
-            return actual(e, chi)
+            return actual(e, d, g)
 
-        monkeypatch.setattr(qmatrix, "_x_pow_mod", counted)
+        monkeypatch.setattr(qmatrix, "_y_pow_mod", counted)
         [report] = verify_all(3, -6, 8, ["crosscheck"])
         assert report.passed and report.cases == 4 * 15
         assert powers == list(range(-6, 9)) * 4

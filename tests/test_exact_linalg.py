@@ -18,7 +18,7 @@ from hyperfib.exact_linalg import (
 )
 from hyperfib.qmatrix import build_q, reconstruct
 from hyperfib.sequences import sequence
-from hyperfib.verify import Failure, VerifyReport, _oversized_dets
+from hyperfib.verify import Failure, VerifyReport, _cassini_dets, _oversized_dets
 
 Q4 = IntMatrix.from_rows([
     [0, 1, 0, 0],
@@ -306,6 +306,53 @@ class TestOversizedDets:
             bad = list(run)
             bad[p] += 5
             assert _oversized_dets(bad, r) == _window_dets(bad, r), p
+
+
+def _cassini_window_dets(run, r):
+    """det of the window of size r+2 at each start, one Bareiss each."""
+    k = r + 2
+    return [det(hankel(run[i:i + 2 * k - 1], k)) for i in range(len(run) - 2 * k + 2)]
+
+
+class TestCassiniDets:
+    @given(_runs("annihilated"))
+    @settings(max_examples=60, deadline=None)
+    def test_annihilated_runs_need_one_elimination(self, case):
+        r, run = case
+        expected = _cassini_window_dets(run, r)
+        actual, eliminated = verification._bareiss, []
+
+        def counted(rows):
+            eliminated.append(len(rows))
+            return actual(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verification, "_bareiss", counted)
+            assert _cassini_dets(run, r) == expected
+        assert eliminated == [r + 2]
+
+    @given(_runs("perturbed"))
+    @settings(max_examples=100, deadline=None)
+    def test_one_perturbed_entry(self, case):
+        r, run = case
+        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
+
+    @given(_runs("arbitrary"))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_runs(self, case):
+        r, run = case
+        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_every_single_perturbation(self, r):
+        # the hyperfibonacci run across its zero run, each entry off in turn
+        m = r + 6
+        run = sequence(r).terms(-r - 4, -r - 4 + 2 * m + 2)
+        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
+        for p in range(len(run)):
+            bad = list(run)
+            bad[p] += 5
+            assert _cassini_dets(bad, r) == _cassini_window_dets(bad, r), p
 
 
 class TestAdjugateInverse:

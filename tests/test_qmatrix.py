@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hyperfib.cassini import build_window
-from hyperfib.exact_linalg import IntMatrix, det, mat_mul
+from hyperfib.exact_linalg import IntMatrix, _x_pow_mod, det, mat_mul
 from hyperfib.qmatrix import (
     QMatrix,
+    _power_setup,
+    _power_terms,
     build_q,
     infer_recurrence,
     q_closed_tail,
@@ -126,6 +128,23 @@ class TestReconstruct:
     def test_matpow_term_is_the_top_left_entry(self, r):
         for n in [-10**4, *range(-50, 51), 10**4]:
             assert hyperfib(r, n, Strategy.MATRIX_POWER) == reconstruct(r, n).get(0, 0), n
+
+
+def _x_basis_terms(r, n, count):
+    """F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi, in powers of x."""
+    k = r + 2
+    run = sequence(r).terms(0, 3 * k - 2)
+    p = _x_pow_mod(n, tuple(-q for q in build_q(r).q) + (1,))
+    return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
+
+
+class TestPowerTerms:
+    @pytest.mark.parametrize("r", range(0, 17))
+    def test_matches_the_x_basis_formula(self, r):
+        setup = _power_setup(r)
+        for n in (0, 1, -1, 2, -2, 513, -513, 20_000, -20_000):
+            for count in (1, 2 * r + 3):
+                assert _power_terms(setup, n, count) == _x_basis_terms(r, n, count), (n, count)
 
 
 class TestInferRecurrence:
