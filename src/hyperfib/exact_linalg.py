@@ -8,11 +8,10 @@ divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
 chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
 (Cayley-Hamilton), for negative e too when a is unimodular.  One kernel
-computes p on plain coefficient lists in powers of y = x - 1, that is
-a^e = sum q_i (a - I)^i; ``mat_pow`` shifts q back to powers of a, and
-callers that can use the powers of a - I keep it.  When chi has a root
+computes p on plain coefficient lists in powers of y = x - 1, so that
+a^e = sum p_i (a - I)^i, the sum ``mat_pow`` takes.  When chi has a root
 of high multiplicity at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r
-does, all but two of the q_i stay small.  ``Polynomial`` carries the
+does, all but two of the p_i stay small.  ``Polynomial`` carries the
 result of ``char_poly`` and offers only products, powers and text.
 """
 
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from operator import mul
+from operator import mul, sub
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -116,19 +115,9 @@ class IntMatrix(_Record, namedtuple("IntMatrix", "rows entries")):
             raise ValueError(f"matrix must be square, not {len(data)}x{width}")
         return cls(width, tuple(x for row in data for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.rows + j]
-
     def to_rows(self) -> list[list[int]]:
         n = self.rows
         return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]
-
-    def trace(self) -> int:
-        return sum(self.get(i, i) for i in range(self.rows))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(to_decimal(x) for x in row) for row in self.to_rows())
@@ -149,15 +138,22 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
-    """a**e as sum p_i a^i, p = x^e mod char_poly(a); e < 0 needs det(a) = +-1."""
-    total, power = [0] * a.rows ** 2, IntMatrix.identity(a.rows)
-    p = _x_pow_mod(e, char_poly(a).coeffs)
+    """a**e as sum p_i (a - I)^i; e < 0 needs det(a) = +-1.
+
+    p = (1 + y)^e mod chi(1 + y) with chi = char_poly(a), that is x^e mod
+    chi in powers of y = x - 1.
+    """
+    n = a.rows
+    p = _y_pow_mod(e, *_shift_chi(char_poly(a).coeffs))
     while p and not p[-1]:   # a trailing zero would still cost a product
         p.pop()
+    one = tuple(int(i % (n + 1) == 0) for i in range(n * n))   # I
+    y = IntMatrix(n, tuple(map(sub, a.entries, one)))          # a - I
+    total, power = [0] * (n * n), IntMatrix(n, one)
     for i, c in enumerate(p):
-        power = mat_mul(power, a) if i else power
+        power = mat_mul(power, y) if i else power
         total = [t + c * x for t, x in zip(total, power.entries)]
-    return IntMatrix(a.rows, tuple(total))
+    return IntMatrix(n, tuple(total))
 
 
 _COFACTOR_MAX = 6   # the largest size the cofactor oracle expands
@@ -288,26 +284,21 @@ def char_poly(a: IntMatrix) -> Polynomial:
     """Monic characteristic polynomial det(xI - a), by Faddeev-LeVerrier.
 
     M_1 = I, c_(n-k) = -tr(a M_k) / k and M_(k+1) = a M_k + c_(n-k) I; every
-    division by k is exact because the coefficients are integers.
+    division by k is exact because the coefficients are integers.  The pass
+    works on row lists and starts from a M_1 = a.  Each M_k is a polynomial
+    in a, so a M_k = M_k a, and the columns of a are taken once.
     """
     n = a.rows
+    cols = [a.entries[j::n] for j in range(n)]
     coeffs = [0] * n + [1]
-    m = IntMatrix.identity(n)
+    am = a.to_rows()
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = coeffs[n - k] = _exact_div(-am.trace(), k)
-        m = IntMatrix(n, tuple(
-            x + c if i % (n + 1) == 0 else x for i, x in enumerate(am.entries)))
+        c = coeffs[n - k] = _exact_div(-sum(row[i] for i, row in enumerate(am)), k)
+        if k < n:   # M_(n+1) = 0 by Cayley-Hamilton, so its product is skipped
+            for i, row in enumerate(am):   # M_(k+1), in place
+                row[i] += c
+            am = [[sum(map(mul, row, col)) for col in cols] for row in am]
     return Polynomial(tuple(coeffs))
-
-
-def _x_pow_mod(e: int, chi: Sequence[int]) -> list[int]:
-    """x^e mod the monic chi, for any integer e; coefficients ascending.
-
-    ``_y_pow_mod`` on ``_shift_chi(chi)``, shifted back to powers of x
-    (J. von zur Gathen and J. Gerhard, ISSAC 1997).
-    """
-    return _shift(_y_pow_mod(e, *_shift_chi(chi)), -1)
 
 
 def _shift_chi(chi: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -318,7 +309,7 @@ def _shift_chi(chi: Sequence[int]) -> tuple[list[int], list[int]]:
     """
     if not chi or chi[-1] != 1:
         raise ValueError("remainder needs a monic divisor")
-    d = _shift(chi, 1)
+    d = _shift(chi)
     g = d[1:]   # synthetic division by 1 + y, top down
     for j in range(len(g) - 2, -1, -1):
         g[j] -= g[j + 1]
@@ -383,11 +374,14 @@ def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
     return p
 
 
-def _shift(c: Sequence[int], s: int) -> list[int]:
-    """Coefficients of c(x + s), by repeated synthetic division by x - s."""
+def _shift(c: Sequence[int]) -> list[int]:
+    """Coefficients of c(x + 1), by repeated synthetic division by x - 1.
+
+    A Taylor shift (J. von zur Gathen and J. Gerhard, ISSAC 1997).
+    """
     a = list(c)
     for i in range(len(a) - 1):
         t = a[-1]
         for j in range(len(a) - 2, i - 1, -1):
-            t = a[j] = a[j] + s * t
+            t = a[j] = a[j] + t
     return a

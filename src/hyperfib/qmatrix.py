@@ -83,19 +83,20 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     Negative n works because the weight q_1 = +-1 makes Q unimodular.
     """
     k = r + 2
-    return hankel(_power_terms(_power_setup(r), n, 2 * k - 1), k)
+    return hankel(_power_terms(_power_setup(r, 2 * k - 1), n, 2 * k - 1), k)
 
 
-def _power_setup(r: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
-    """``_shift_chi(chi)`` and the forward differences of the run F_r(0..3r+3).
+def _power_setup(r: int, count: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
+    """``_shift_chi(chi)`` and the forward differences of F_r(0..max(k+1, k+count-2)).
 
     chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
-    Delta^i F_r(j), i < k.  Both depend on r alone, so callers that
-    power one generation at many n compute them once.  The weights come
-    from the run itself: the closed form is seeded only at 0.
+    Delta^i F_r(j), i < k, for j < count at least.  Both depend on r and
+    count alone, so callers that power one generation at many n compute
+    them once.  The weights come from the run itself: the closed form is
+    seeded only at 0.
     """
     k = r + 2
-    run = sequence(r).terms(0, 3 * k - 2)
+    run = sequence(r).terms(0, max(k + 2, k + count - 1))
     chi = tuple(-x for x in _weights(run, k)) + (1,)
     diffs = [run]
     for _ in range(k - 1):
@@ -107,7 +108,7 @@ def _power_setup(r: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
 def _power_terms(setup: tuple[tuple[list[int], list[int]], list[list[int]]], n: int,
                  count: int) -> list[int]:
     # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
-    # count <= 2r+3
+    # count <= the count the setup was built for
     shifted, diffs = setup
     q = _y_pow_mod(n, *shifted)
     return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]

@@ -151,7 +151,7 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     if strategy is Strategy.MATRIX_POWER:
         from . import qmatrix   # deferred: qmatrix builds on this module
 
-        return qmatrix._power_terms(qmatrix._power_setup(r), n, 1)[0]
+        return qmatrix._power_terms(qmatrix._power_setup(r, 1), n, 1)[0]
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 

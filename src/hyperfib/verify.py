@@ -157,7 +157,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
             forward.append(_recurrence(r, n_max, forward))
         if n_min < 0:
             backward.append(_recurrence(r, n_min, backward))
-        setup = _power_setup(r)
+        setup = _power_setup(r, 1)
         for n, reference in zip(range(n_min, n_max + 1), expected):
             cases += 1
             for strat, value in (

@@ -51,9 +51,10 @@ class TestBuildWindow:
     @settings(max_examples=60)
     def test_symmetry_and_corners(self, m, n, r):
         w = build_window(m, n, r)
-        assert all(w.get(i, j) == w.get(j, i) for i in range(m) for j in range(m))
-        assert w.get(0, 0) == hyperfib(r, n)
-        assert w.get(m - 1, m - 1) == hyperfib(r, n + 2 * m - 2)
+        rows = w.to_rows()
+        assert all(rows[i][j] == rows[j][i] for i in range(m) for j in range(m))
+        assert rows[0][0] == hyperfib(r, n)
+        assert rows[m - 1][m - 1] == hyperfib(r, n + 2 * m - 2)
 
 
 class TestPredictedSign:
