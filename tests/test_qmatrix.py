@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hyperfib.cassini import build_window
-from hyperfib.exact_linalg import IntMatrix, det, mat_mul
+from hyperfib.exact_linalg import det, mat_mul
 from hyperfib.qmatrix import (
     QMatrix,
     _power_setup,
