@@ -4,15 +4,19 @@ A window of size m starting at index n collects the terms F(n) through
 F(n+2m-2) of one generation into the symmetric Hankel matrix with entries
 M[i][j] = F(n+i+j).  For m = r+2 the determinant is always +1 or -1 and the
 sign follows a closed formula in n and r, generalizing the classical
-Cassini identity; for m > r+2 the determinant vanishes identically.
+Cassini identity; for m > r+2 the determinant vanishes identically.  Both
+follow from chi = (x^2-x-1)(x-1)^r annihilating the run of terms, and
+``_run_dets`` decides the windows of a run from that residual; verify's
+cassini and zero suites and the CLI's ``det`` read it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from operator import mul
 
-from .exact_linalg import IntMatrix, _Record, det
+from .exact_linalg import IntMatrix, Polynomial, _bareiss, _Record, det
 from .sequences import fibonacci, sequence
 
 
@@ -26,6 +30,44 @@ def build_window(m: int, n: int, r: int) -> IntMatrix:
 def hankel(terms: Sequence[int], m: int) -> IntMatrix:
     """The m x m Hankel matrix M[i][j] = terms[i+j] of the first 2m-1 terms."""
     return IntMatrix(m, tuple(terms[i + j] for i in range(m) for j in range(m)))
+
+
+def _chi(r: int) -> Polynomial:
+    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
+    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
+
+
+def _run_dets(run: Sequence[int], r: int, sizes: Iterable[int]) -> list[list[int]]:
+    """For each m in sizes, dets of the m x m Hankel windows at each start of run.
+
+    With chi = ``_chi(r)``, monic of degree k = r+2, and C_t the column
+    run[i+t:i+t+m] of the window at i, the unit-triangular column operation
+    C_k += sum_(t<k) chi_t C_t leaves the residual e(i+a) =
+    sum_t chi_t run[i+a+t] in its row a.  So where e is zero on i..i+m-1, a
+    window of size m > k has a zero column and its determinant is 0.  Window
+    i of size k has the columns C_1..C_k of window i-1 (its C_0..C_(k-1)),
+    so where e is zero on i-1..i+k-2 its determinant is (-1)^k chi_0 = -1
+    times window i-1's.  Any other window gets its own Bareiss elimination,
+    so the result is exact for any run; only the speed rests on chi
+    annihilating it.
+    """
+    k, chi = r + 2, _chi(r).coeffs
+    zeros = [0] * (len(run) - k + 1)   # how many e(s), e(s+1), ... are zero in a row
+    for s in range(len(run) - k - 1, -1, -1):
+        if not sum(map(mul, chi, run[s:s + k + 1])):
+            zeros[s] = zeros[s + 1] + 1
+    out = []
+    for m in sizes:
+        dets = []
+        for i in range(len(run) - 2 * m + 2):
+            if m > k and zeros[i] >= m:
+                dets.append(0)
+            elif m == k and i and zeros[i - 1] >= k:
+                dets.append(-dets[-1])
+            else:
+                dets.append(_bareiss([run[i + a:i + a + m] for a in range(m)]))
+        out.append(dets)
+    return out
 
 
 def predicted_sign(r: int, n: int) -> int:

@@ -17,7 +17,7 @@ import time
 from collections.abc import Callable, Iterable
 
 from . import verify as verification
-from .cassini import build_window
+from .cassini import _run_dets, build_window
 from .exact_linalg import _COFACTOR_MAX, _COFACTOR_REFUSAL, det, to_decimal
 from .qmatrix import build_q, q_closed_tail
 from .sequences import Strategy, hyperfib, sequence
@@ -118,10 +118,14 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_det(args) -> int:
-    if args.method == "cofactor" and args.m > _COFACTOR_MAX:   # before building M x M
+    m, n, r = args.m, args.n, args.r
+    if args.method == "bareiss":   # decided on the run; no M x M window is built
+        [[value]] = _run_dets(sequence(r).terms(n, n + 2 * m - 1), r, [m])
+    elif m > _COFACTOR_MAX:   # before building M x M
         raise ValueError(_COFACTOR_REFUSAL)
-    window = build_window(args.m, args.n, args.r)
-    print(_text(det(window, method=args.method)))
+    else:
+        value = det(build_window(m, n, r), method="cofactor")
+    print(_text(value))
     return 0
 
 

@@ -41,6 +41,7 @@ results are exact at any size.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from enum import Enum
 from functools import cache
@@ -145,7 +146,7 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     if strategy is Strategy.PREFIX_SUM:
         if n < 0:
             raise ValueError("prefix-sum evaluation is defined only for n >= 0")
-        return _prefix_row(r, n)[-1]
+        return deque(_prefix_row(r, n), maxlen=1).pop()
     if strategy is Strategy.RECURRENCE:
         return _recurrence(r, n)
     if strategy is Strategy.MATRIX_POWER:
@@ -155,19 +156,25 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
-def _prefix_row(r: int, n: int) -> list[int]:
-    # F_r(0..n) as r running sums of F(0..n); n >= 0
-    row = []
+def _prefix_row(r: int, n: int) -> Iterator[int]:
+    # F_r(0..n) as r running sums of F(0..n); n >= 0.  Fibonacci goes in
+    # blocks of _FOLD terms, and each running sum of a block starts from
+    # its last value in the block before, so one block is held at a time
     a, b = 0, 1
-    for _ in range(n + 1):
-        row.append(a)
-        a, b = b, a + b
-    for _ in range(r):
-        row = list(accumulate(row))
-    return row
+    carries = [0] * r
+    for lo in range(0, n + 1, _FOLD):
+        block = []
+        for _ in range(min(_FOLD, n + 1 - lo)):
+            block.append(a)
+            a, b = b, a + b
+        for j, carry in enumerate(carries):
+            block[0] += carry
+            block = list(accumulate(block))
+            carries[j] = block[-1]
+        yield from block
 
 
-_FOLD = 512        # steps in each block of _recurrence's walk
+_FOLD = 512        # steps in each block of _recurrence's walk and of _prefix_row
 _MAP_BELOW = 200   # generations below it map full blocks (break-even near 210)
 
 

@@ -5,13 +5,8 @@ reports every case that disagrees.  A case is one claim at one input, even
 where a suite shares work between cases:
 
 - cassini and zero cut their windows from one closed-form run per
-  generation, and both read the residual of the run under the
-  characteristic polynomial.  The cassini suite eliminates the first
-  window of each generation and takes each later determinant as minus the
-  one before, where the residual under both windows is zero; any other
-  window gets its own elimination.  The zero suite decides its four
-  oversized windows at each start from the residual, and eliminates each
-  window only where that is nonzero.
+  generation and read all of their determinants from
+  ``cassini._run_dets``.
 - crosscheck walks the prefix and recurrence routes once per generation
   and takes matpow's shifted chi and differences once per generation;
   each matpow case still computes its own power (1 + y)^n mod chi(1 + y).
@@ -27,10 +22,9 @@ import random
 import time
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from operator import mul
 
-from .cassini import SecondOrderPair, general_cassini_walk, predicted_sign
-from .exact_linalg import Polynomial, _bareiss, _Record, char_poly, det
+from .cassini import SecondOrderPair, _chi, _run_dets, general_cassini_walk, predicted_sign
+from .exact_linalg import _Record, char_poly, det
 from .qmatrix import _power_setup, _power_terms, build_q
 from .sequences import Strategy, _prefix_row, _recurrence, sequence
 
@@ -57,16 +51,12 @@ class VerifyReport(_Record, namedtuple("VerifyReport", "suite cases failures ela
         return not self.failures
 
 
-def _chi(r: int) -> Polynomial:
-    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
-    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
-
-
 def _suite_cassini(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(1, r_max + 1):
         run = sequence(r).terms(n_min, n_max + 2 * (r + 2) - 1)
-        for n, d in zip(range(n_min, n_max + 1), _cassini_dets(run, r)):
+        [dets] = _run_dets(run, r, [r + 2])
+        for n, d in zip(range(n_min, n_max + 1), dets):
             predicted = predicted_sign(r, n)
             cases += 1
             if d != predicted:
@@ -88,61 +78,12 @@ def _suite_zero(r_max, n_min, n_max, rng):
     cases, failures = 0, []
     for r in range(0, r_max + 1):
         run = sequence(r).terms(n_min, n_max + 2 * (r + 6) - 1)
-        for size, column in enumerate(zip(*_oversized_dets(run, r)), r + 3):
+        for size, column in enumerate(_run_dets(run, r, range(r + 3, r + 7)), r + 3):
             for n, d in zip(range(n_min, n_max + 1), column):
                 cases += 1
                 if d != 0:
                     failures.append(Failure(f"m={size} n={n} r={r}", d, 0))
     return cases, failures
-
-
-def _residuals(run: list[int], chi: Sequence[int]) -> list[int]:
-    # e(s) = sum_t chi_t run[s+t] at each s where the run covers chi
-    k = len(chi) - 1
-    return [sum(map(mul, chi, run[s:s + k + 1])) for s in range(len(run) - k)]
-
-
-def _cassini_dets(run: list[int], r: int) -> list[int]:
-    """dets of the Hankel windows of size k = r+2 at each start of the run.
-
-    With chi = ``_chi(r)``, monic of degree k, and C_t the column
-    run[i-1+t:i-1+t+k], window i-1 has columns C_0..C_(k-1) and window i
-    has C_1..C_k.  Row a of C_k + sum_(t<k) chi_t C_t is
-    e(i-1+a) = sum_t chi_t run[i-1+a+t].  Where e is zero on i-1..i+k-2,
-    C_k = -sum_(t<k) chi_t C_t, and every term but t = 0 is a column of
-    window i already, so det(window i) = (-1)^k chi_0 det(window i-1),
-    which is -det(window i-1) as chi_0 = (-1)^(r+1).  The first start, and
-    any start where e is nonzero, gets its own Bareiss elimination.  The
-    result is exact for any run; only the speed rests on chi annihilating
-    it.
-    """
-    k = r + 2
-    e = _residuals(run, _chi(r).coeffs)
-    dets = []
-    for i in range(len(run) - 2 * k + 2):
-        if i and not any(e[i - 1:i + k - 1]):
-            dets.append(-dets[-1])
-        else:
-            dets.append(_bareiss([run[i + a:i + a + k] for a in range(k)]))
-    return dets
-
-
-def _oversized_dets(run: list[int], r: int) -> list[list[int]]:
-    """dets of the Hankel windows of sizes r+3..r+6 at each start of the run.
-
-    With chi = ``_chi(r)``, monic of degree k = r+2, the column
-    operation C_k += sum_(t<k) chi_t C_t is unit-triangular and leaves
-    e(i+a) = sum_t chi_t run[i+a+t] in row a of column k, inside every
-    window of size > k at start i.  Where e is zero on i..i+r+5 each of the
-    four windows has a zero column, so its determinant is exactly 0; at any
-    other start each window gets its own Bareiss elimination.  The result
-    is exact for any run; only the speed rests on chi annihilating it.
-    """
-    m, k = r + 6, r + 2
-    e = _residuals(run, _chi(r).coeffs)
-    return [[0] * 4 if not any(e[i:i + m]) else
-            [_bareiss([run[i + a:i + a + j] for a in range(j)]) for j in range(k + 1, m + 1)]
-            for i in range(len(run) - 2 * m + 2)]
 
 
 def _suite_crosscheck(r_max, n_min, n_max, rng):
@@ -153,7 +94,7 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
         expected = sequence(r).terms(n_min, n_max + 1)
         prefix, forward, backward = [], [], []   # F_r(0..n_max) twice, F_r(1..n_min)
         if n_max >= 0:
-            prefix = _prefix_row(r, n_max)
+            prefix = list(_prefix_row(r, n_max))
             forward.append(_recurrence(r, n_max, forward))
         if n_min < 0:
             backward.append(_recurrence(r, n_min, backward))

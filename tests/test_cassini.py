@@ -4,19 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperfib.cassini as cassini
 from hyperfib.cassini import (
     SecondOrderPair,
+    _chi,
+    _run_dets,
     build_window,
     cassini_det,
     general_cassini,
     general_cassini_walk,
+    hankel,
     predicted_sign,
     shifted_fib_det,
     zero_det_check,
 )
 from hyperfib.exact_linalg import det
 from hyperfib.qmatrix import build_q, reconstruct
-from hyperfib.sequences import fibonacci, hyperfib
+from hyperfib.sequences import fibonacci, hyperfib, sequence
 
 
 def _parity_sign(n):
@@ -190,3 +194,114 @@ class TestReconstructionDeterminant:
     def test_closed_form_window_equals_power_route(self, r, n):
         # the closed-form seed far from 0 against Q^n times the window at 0
         assert build_window(r + 2, n, r) == reconstruct(r, n)
+
+
+def _window_dets(run, sizes):
+    """For each m in sizes, det of each m x m window of run, one Bareiss each."""
+    return [[det(hankel(run[i:i + 2 * m - 1], m)) for i in range(len(run) - 2 * m + 2)]
+            for m in sizes]
+
+
+@st.composite
+def _runs(draw, kind):
+    # (r, run): a run stepped by chi's recurrence from random initial values,
+    # the same with one entry off, or any integers; long enough for 1-4
+    # starts of the largest window, r+6
+    r = draw(st.integers(0, 6))
+    k, length = r + 2, 2 * (r + 6) - 1 + draw(st.integers(0, 3))
+    if kind == "arbitrary":
+        return r, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
+    chi = _chi(r).coeffs
+    run = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    while len(run) < length:
+        run.append(-sum(c * x for c, x in zip(chi, run[-k:])))
+    if kind == "perturbed":
+        run[draw(st.integers(0, length - 1))] += draw(st.integers(-3, 3).filter(bool))
+    return r, run
+
+
+def _perturbed_hyperfib_runs(r):
+    # the hyperfibonacci run across its zero run, then each entry off in turn
+    run = sequence(r).terms(-r - 4, r + 10)
+    yield run
+    for p in range(len(run)):
+        bad = list(run)
+        bad[p] += 5
+        yield bad
+
+
+class TestOversizedDets:
+    # the oversized sizes r+3..r+6; the properties take every size from
+    # m = r+1, below k = r+2, in one call
+    @given(_runs("annihilated"))
+    @settings(max_examples=60, deadline=None)
+    def test_annihilated_runs_need_no_elimination(self, case):
+        r, run = case
+        sizes = range(r + 3, r + 7)
+        expected = _window_dets(run, sizes)
+        assert all(not any(dets) for dets in expected)
+
+        def refused(rows):
+            raise AssertionError("eliminated a window chi annihilates")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cassini, "_bareiss", refused)
+            assert _run_dets(run, r, sizes) == expected
+
+    @given(_runs("perturbed"))
+    @settings(max_examples=100, deadline=None)
+    def test_one_perturbed_entry(self, case):
+        r, run = case
+        sizes = range(r + 1, r + 7)
+        assert _run_dets(run, r, sizes) == _window_dets(run, sizes)
+
+    @given(_runs("arbitrary"))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_runs(self, case):
+        r, run = case
+        sizes = range(r + 1, r + 7)
+        assert _run_dets(run, r, sizes) == _window_dets(run, sizes)
+
+    @pytest.mark.parametrize("r", range(0, 7))
+    def test_every_single_perturbation(self, r):
+        sizes = range(r + 1, r + 7)
+        for p, run in enumerate(_perturbed_hyperfib_runs(r)):
+            assert _run_dets(run, r, sizes) == _window_dets(run, sizes), p
+
+
+class TestCassiniDets:
+    # the windows that get eliminated or chained: m = r+1 and k = r+2
+    @given(_runs("annihilated"))
+    @settings(max_examples=60, deadline=None)
+    def test_annihilated_runs_need_one_elimination(self, case):
+        # below k every window is eliminated; of size k only the first
+        r, run = case
+        sizes = [r + 1, r + 2]
+        expected = _window_dets(run, sizes)
+        actual, eliminated = cassini._bareiss, []
+
+        def counted(rows):
+            eliminated.append(len(rows))
+            return actual(rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cassini, "_bareiss", counted)
+            assert _run_dets(run, r, sizes) == expected
+        assert eliminated == [r + 1] * len(expected[0]) + [r + 2]
+
+    @given(_runs("perturbed"))
+    @settings(max_examples=100, deadline=None)
+    def test_one_perturbed_entry(self, case):
+        r, run = case
+        assert _run_dets(run, r, [r + 2]) == _window_dets(run, [r + 2])
+
+    @given(_runs("arbitrary"))
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_runs(self, case):
+        r, run = case
+        assert _run_dets(run, r, [r + 2]) == _window_dets(run, [r + 2])
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_every_single_perturbation(self, r):
+        for p, run in enumerate(_perturbed_hyperfib_runs(r)):
+            assert _run_dets(run, r, [r + 2]) == _window_dets(run, [r + 2]), p

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hyperfib.cli as cli
 import hyperfib.qmatrix as qmatrix
 import hyperfib.verify as verification
-from hyperfib.cassini import hankel, predicted_sign
+from hyperfib.cassini import build_window, hankel, predicted_sign
 from hyperfib.cli import main
 from hyperfib.exact_linalg import IntMatrix, det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
@@ -135,6 +135,9 @@ class TestTerm:
         for fmt in ("plain", "json", "csv"):
             assert run(capsys, *big, "--format", fmt) == run(
                 capsys, *big, "--format", fmt, "--strategy", "matpow"), fmt
+        for n in ("511", "512", "1500"):   # the prefix sums go in blocks of 512 terms
+            edge = ["term", "--r", "8", "--n", n]
+            assert run(capsys, *edge) == run(capsys, *edge, "--strategy", "prefix"), n
 
     def test_default_calls_no_strategy(self, capsys, monkeypatch):
         def raising(*args):
@@ -288,6 +291,26 @@ class TestDet:
                            "--method", "cofactor")
         assert code == 2
         assert err == f"error: {refused.value}\n"
+
+    def test_oversized_window_is_decided_on_its_run(self):
+        # a 30000 x 30000 window would hold 9 * 10^8 entries.  The run alone
+        # peaks near 200 MiB, so a child takes it: a child forked later
+        # reports this process's peak RSS as its own (test_seq_streams)
+        script = ("import sys, hyperfib.cli as cli\n"
+                  "def build_window(*args): raise AssertionError('the window was built')\n"
+                  "cli.build_window = build_window\n"
+                  "sys.exit(cli.main(['det', '--m', '30000', '--n', '0', '--r', '2']))\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=_child_env(), timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_prints_the_windows_det(self, capsys, m):
+        # below, at and above the (r+2)-window, on both sides of the zero run
+        for n in (-20, -3, 0, 7, 40):
+            for r in range(7):
+                out = run(capsys, "det", "--m", str(m), "--n", str(n), "--r", str(r))
+                assert out == (0, f"{det(build_window(m, n, r))}\n", ""), (n, r)
 
 
 class TestVerifyCommand:

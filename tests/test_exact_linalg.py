@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hyperfib.verify as verification
-from hyperfib.cassini import SecondOrderPair, hankel
+from hyperfib.cassini import SecondOrderPair
 from hyperfib.exact_linalg import (
     IntMatrix,
     Polynomial,
@@ -18,8 +17,7 @@ from hyperfib.exact_linalg import (
     mat_pow,
 )
 from hyperfib.qmatrix import build_q, reconstruct
-from hyperfib.sequences import sequence
-from hyperfib.verify import Failure, VerifyReport, _cassini_dets, _oversized_dets
+from hyperfib.verify import Failure, VerifyReport
 
 Q4 = IntMatrix.from_rows([
     [0, 1, 0, 0],
@@ -243,119 +241,6 @@ class TestDet:
         a = IntMatrix(n, tuple(data.draw(ents)))
         b = IntMatrix(n, tuple(data.draw(ents)))
         assert det(mat_mul(a, b)) == det(a) * det(b)
-
-
-def _chi(r):
-    """Coefficients of (x^2 - x - 1)(x - 1)^r, ascending."""
-    return (Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r).coeffs
-
-
-def _window_dets(run, r):
-    """det of each window of size r+3..r+6 at each start, one Bareiss each."""
-    return [[det(hankel(run[i:i + 2 * j - 1], j)) for j in range(r + 3, r + 7)]
-            for i in range(len(run) - 2 * (r + 6) + 2)]
-
-
-@st.composite
-def _runs(draw, kind):
-    # (r, run): a run stepped by chi's recurrence from random initial values,
-    # the same with one entry off, or any integers; long enough for 1-4 starts
-    r = draw(st.integers(0, 6))
-    k, length = r + 2, 2 * (r + 6) - 1 + draw(st.integers(0, 3))
-    if kind == "arbitrary":
-        return r, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
-    chi = _chi(r)
-    run = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
-    while len(run) < length:
-        run.append(-sum(c * x for c, x in zip(chi, run[-k:])))
-    if kind == "perturbed":
-        run[draw(st.integers(0, length - 1))] += draw(st.integers(-3, 3).filter(bool))
-    return r, run
-
-
-class TestOversizedDets:
-    @given(_runs("annihilated"))
-    @settings(max_examples=60, deadline=None)
-    def test_annihilated_runs_need_no_elimination(self, case):
-        r, run = case
-        expected = _window_dets(run, r)
-        assert expected == [[0] * 4] * len(expected)
-
-        def refused(rows):
-            raise AssertionError("eliminated a window chi annihilates")
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verification, "_bareiss", refused)
-            assert _oversized_dets(run, r) == expected
-
-    @given(_runs("perturbed"))
-    @settings(max_examples=100, deadline=None)
-    def test_one_perturbed_entry(self, case):
-        r, run = case
-        assert _oversized_dets(run, r) == _window_dets(run, r)
-
-    @given(_runs("arbitrary"))
-    @settings(max_examples=60, deadline=None)
-    def test_arbitrary_runs(self, case):
-        r, run = case
-        assert _oversized_dets(run, r) == _window_dets(run, r)
-
-    @pytest.mark.parametrize("r", range(0, 7))
-    def test_every_single_perturbation(self, r):
-        # the hyperfibonacci run across its zero run, each entry off in turn
-        m = r + 6
-        run = sequence(r).terms(-r - 4, -r - 4 + 2 * m + 2)
-        for p in range(len(run)):
-            bad = list(run)
-            bad[p] += 5
-            assert _oversized_dets(bad, r) == _window_dets(bad, r), p
-
-
-def _cassini_window_dets(run, r):
-    """det of the window of size r+2 at each start, one Bareiss each."""
-    k = r + 2
-    return [det(hankel(run[i:i + 2 * k - 1], k)) for i in range(len(run) - 2 * k + 2)]
-
-
-class TestCassiniDets:
-    @given(_runs("annihilated"))
-    @settings(max_examples=60, deadline=None)
-    def test_annihilated_runs_need_one_elimination(self, case):
-        r, run = case
-        expected = _cassini_window_dets(run, r)
-        actual, eliminated = verification._bareiss, []
-
-        def counted(rows):
-            eliminated.append(len(rows))
-            return actual(rows)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verification, "_bareiss", counted)
-            assert _cassini_dets(run, r) == expected
-        assert eliminated == [r + 2]
-
-    @given(_runs("perturbed"))
-    @settings(max_examples=100, deadline=None)
-    def test_one_perturbed_entry(self, case):
-        r, run = case
-        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
-
-    @given(_runs("arbitrary"))
-    @settings(max_examples=60, deadline=None)
-    def test_arbitrary_runs(self, case):
-        r, run = case
-        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
-
-    @pytest.mark.parametrize("r", range(1, 7))
-    def test_every_single_perturbation(self, r):
-        # the hyperfibonacci run across its zero run, each entry off in turn
-        m = r + 6
-        run = sequence(r).terms(-r - 4, -r - 4 + 2 * m + 2)
-        assert _cassini_dets(run, r) == _cassini_window_dets(run, r)
-        for p in range(len(run)):
-            bad = list(run)
-            bad[p] += 5
-            assert _cassini_dets(bad, r) == _cassini_window_dets(bad, r), p
 
 
 class TestAdjugateInverse:

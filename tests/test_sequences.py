@@ -160,7 +160,7 @@ def _check_walks(r, n):
     assert run + [value] == walked
     assert value == _recurrence(r, n)
     if n >= 0:
-        assert _prefix_row(r, n) == walked
+        assert list(_prefix_row(r, n)) == walked
 
 
 class TestWalks:
@@ -177,14 +177,16 @@ class TestWalks:
 
     @pytest.mark.parametrize(
         "n", [512, -512, 513, -513, 1024, -1025, 1535, -1537, 1500, -1500, 3000, -3000,
-              -511, -1023, -1022, -1534]
+              -511, -1023, -1022, -1534, 511, 1023]
     )
     @pytest.mark.parametrize("r", [1, 2, 7, 16])
     def test_walks_across_folds(self, r, n):
         # without a run the walk of n or 1 - n steps crosses blocks of 512
         # steps, the partial one first, with one map of the big pair per full
         # block; 512, 1024, -511 and -1023 have no partial block, 513 and
-        # -512 one of 1 step, 1535 and -1022 one of 511 steps
+        # -512 one of 1 step, 1535 and -1022 one of 511 steps.  The prefix
+        # sums take the n + 1 terms in blocks of 512 from 0: 511, 1023 and
+        # 1535 end on a block's edge, 512 and 1024 one term past it
         _check_walks(r, n)
 
     @given(st.integers(0, sequences._MAP_BELOW + 10), st.integers(-6000, 6000))
