@@ -88,8 +88,7 @@ def shifted_fib_det(n: int) -> int:
     """Determinant of the 3x3 window of shifted Fibonacci numbers F(k) - 1."""
     if n < 0:
         raise ValueError("shifted determinant is stated for n >= 0")
-    rows = [[fibonacci(n + i + j) - 1 for j in range(3)] for i in range(3)]
-    return det(IntMatrix.from_rows(rows))
+    return det(hankel([fibonacci(n + k) - 1 for k in range(5)], 3))
 
 
 def zero_det_check(m: int, n: int, r: int) -> int:

@@ -103,18 +103,6 @@ class IntMatrix(_Record, namedtuple("IntMatrix", "rows entries")):
                 raise TypeError(f"non-integer entry: {e!r}")
         return super().__new__(cls, rows, entries)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Iterable[int]]) -> "IntMatrix":
-        data = [list(row) for row in rows]
-        if not data:
-            raise ValueError("matrix needs at least one row")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise ValueError("ragged rows")
-        if width != len(data):
-            raise ValueError(f"matrix must be square, not {len(data)}x{width}")
-        return cls(width, tuple(x for row in data for x in row))
-
     def to_rows(self) -> list[list[int]]:
         n = self.rows
         return [list(self.entries[i * n:(i + 1) * n]) for i in range(n)]

@@ -46,10 +46,6 @@ class VerifyReport(_Record, namedtuple("VerifyReport", "suite cases failures ela
 
     __slots__ = ()
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
 
 def _suite_cassini(r_max, n_min, n_max, rng):
     cases, failures = 0, []

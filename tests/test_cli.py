@@ -26,6 +26,34 @@ def _child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# Runs argv[2:] as its one child and writes the child's exit code and peak
+# RSS in KiB to the descriptor argv[1].  os.wait4's ru_maxrss counts the
+# peak RSS of the process that spawned the child too, so the child is
+# spawned from this small process, not from the one that measures.
+LAUNCHER = """\
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[2:])
+_, status, usage = os.wait4(child.pid, 0)
+os.write(int(sys.argv[1]), b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
+def _streamed_seq(args, read):
+    """What read takes from a `hyperfib seq` child's stdout before closing
+    it, then the child's exit code and its own peak RSS in KiB."""
+    report, report_end = os.pipe()
+    argv = [sys.executable, "-S", "-c", LAUNCHER, str(report_end),
+            sys.executable, "-m", "hyperfib", "seq", *args]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          env=_child_env(), pass_fds=[report_end]) as launcher:
+        os.close(report_end)
+        head = read(launcher.stdout)
+        launcher.stdout.close()
+        with open(report, "rb") as lines:
+            code, peak_kib = map(int, lines.read().split())
+    return head, code, peak_kib
+
+
 def _crosscheck_per_case(r_max, n_min, n_max):
     """The crosscheck suite as one hyperfib call per case and strategy."""
     cases, failures = 0, []
@@ -497,32 +525,27 @@ class TestUsage:
     def test_seq_streams(self):
         # the whole run would hold about 440 MiB of terms; streamed, the
         # child stops at the closed pipe with only a few terms alive
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "100000"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env(),
-        )
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)   # this child's own peak RSS
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert (first, proc.returncode) == (b"0 0\n", 141)
-        assert usage.ru_maxrss < 100 * 1024   # KiB
+        first, code, peak_kib = _streamed_seq(
+            ["--r", "2", "--from", "0", "--to", "100000"], lambda out: out.readline())
+        assert (first, code) == (b"0 0\n", 141)
+        assert peak_kib < 100 * 1024
+
+    def test_seq_streams_while_this_process_holds_more(self):
+        # the child's measured peak is its own, not that of the process
+        # that measures it
+        held = b"\1" * (160 << 20)   # written, so resident
+        self.test_seq_streams()
+        del held
 
     def test_seq_json_streams(self):
         # the same run as one JSON line: the child prints it a term at a
         # time, so it too stops at the closed pipe with a few terms alive
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "hyperfib", "seq", "--r", "2", "--from", "0", "--to", "100000",
-             "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_child_env(),
-        )
         head = b'{"r": 2, "from": 0, "to": 100000, "values": ["0", "1", "3", "7", "14", '
-        first = proc.stdout.read(len(head))
-        proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)   # this child's own peak RSS
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert (first, proc.returncode) == (head, 141)
-        assert usage.ru_maxrss < 100 * 1024   # KiB
+        first, code, peak_kib = _streamed_seq(
+            ["--r", "2", "--from", "0", "--to", "100000", "--format", "json"],
+            lambda out: out.read(len(head)))
+        assert (first, code) == (head, 141)
+        assert peak_kib < 100 * 1024
 
 
 class TestVerifyModule:
@@ -545,7 +568,7 @@ class TestVerifyModule:
         assert [r.suite for r in reports] == [
             "cassini", "qdet", "zero", "crosscheck", "general", "charpoly",
         ]
-        assert all(r.passed for r in reports)
+        assert not any(r.failures for r in reports)
 
     def test_subset_dedup(self):
         reports = verify_all(1, 0, 1, ["qdet", "cassini", "qdet"])
@@ -553,7 +576,7 @@ class TestVerifyModule:
 
     def test_one_name_as_a_string(self):
         [report] = verify_all(3, 0, 5, "cassini")
-        assert (report.suite, report.cases, report.passed) == ("cassini", 18, True)
+        assert (report.suite, report.cases, report.failures) == ("cassini", 18, ())
         with pytest.raises(ValueError, match=r"unknown suite\(s\): nope$"):
             verify_all(1, 0, 1, "nope")
         with pytest.raises(ValueError, match="no suites selected"):
@@ -604,7 +627,7 @@ class TestVerifyModule:
 
         monkeypatch.setattr(qmatrix, "_y_pow_mod", counted)
         [report] = verify_all(3, -6, 8, ["crosscheck"])
-        assert report.passed and report.cases == 4 * 15
+        assert not report.failures and report.cases == 4 * 15
         assert powers == list(range(-6, 9)) * 4
 
     @pytest.mark.parametrize("n_min, n_max", [(-6, 8), (3, 9), (-9, -2), (0, 0), (-1, -1)])
@@ -623,7 +646,7 @@ class TestVerifyModule:
         for name in ("_prefix_row", "_recurrence", "_power_setup"):
             spy(name)
         [report] = verify_all(3, n_min, n_max, ["crosscheck"])
-        assert report.passed
+        assert not report.failures
         expected = []
         for r in range(4):
             expected += [("_prefix_row", r, n_max)] * (n_max >= 0)
@@ -710,7 +733,7 @@ class TestVerifyModule:
         first = verify_all(1, 0, 1, ["general"], seed=99)
         second = verify_all(1, 0, 1, ["general"], seed=99)
         assert first[0].cases == second[0].cases == 10000
-        assert first[0].passed and second[0].passed
+        assert not first[0].failures and not second[0].failures
 
     @given(st.integers(0, 2**64 - 1), st.integers(1, 2), st.integers(-3, 3))
     @settings(max_examples=15, deadline=None)

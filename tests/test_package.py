@@ -126,9 +126,53 @@ def test_record_reprs_name_their_fields():
     assert repr(Failure("r=1", 0, -1)) == "Failure(case='r=1', computed=0, expected=-1)"
 
 
-def test_report_passed():
-    assert VerifyReport("qdet", 1, (), 0.0).passed
-    assert not VerifyReport("qdet", 1, (Failure("r=1", 0, -1),), 0.0).passed
+def _public_definitions():
+    """(module, qualified name) of each public module-level def, class and
+    assignment in the package, and of each public method or property."""
+    found = []
+    for path in sorted((ROOT / "src" / "hyperfib").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [(path.stem, name.id) for target in targets
+                          for name in ast.walk(target) if isinstance(name, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                found += [(path.stem, f"{node.name}.{item.name}") for item in node.body
+                          if isinstance(item, ast.FunctionDef)]
+    return [(module, name) for module, name in found
+            if not any(part.startswith("_") for part in name.split("."))]
+
+
+def _referenced_names(path):
+    """Every name a file uses, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only the unit tests call is not part of the
+    # product; benchmark/tracer.py's LAYERS wraps its names by string
+    callers = [*(ROOT / "src" / "hyperfib").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py",
+               *(ROOT / "benchmark").glob("*.py")]
+    referenced = set().union(*map(_referenced_names, callers))
+    tracer = ast.parse((ROOT / "benchmark" / "tracer.py").read_text())
+    [layers] = [set(ast.literal_eval(node.value)) for node in tracer.body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["LAYERS"]]
+    uncalled = [f"{module}.{name}" for module, name in _public_definitions()
+                if name.rpartition(".")[2] not in referenced
+                and (module, name) not in layers]
+    assert uncalled == []
 
 
 def test_public_names_are_documented():

@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -188,6 +190,18 @@ class TestWalks:
         # sums take the n + 1 terms in blocks of 512 from 0: 511, 1023 and
         # 1535 end on a block's edge, 512 and 1024 one term past it
         _check_walks(r, n)
+
+    def test_prefix_row_holds_one_block(self):
+        # the row F_3(0..30000) of terms up to about 6,300 digits would take
+        # about 80 MiB at once; the last value comes one block at a time
+        tracemalloc.start()
+        try:
+            [last] = deque(_prefix_row(3, 30_000), maxlen=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert last == sequence(3).term(30_000)
+        assert peak < 16 * 2**20
 
     @given(st.integers(0, sequences._MAP_BELOW + 10), st.integers(-6000, 6000))
     @settings(max_examples=60, deadline=None)
