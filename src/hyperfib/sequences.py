@@ -31,12 +31,13 @@ by numbers of about 355 bits); then s is folded into a and restarts at 0.
 By Vandermonde's identity the correction at step i of a block from step j,
 C(r+j+i, r-1), is sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) =
 sum_k C(-1-i, k) * C(r-j, r-1-k)).  So across a full block the small pair
-moves by a sum of r binomials C(r+j, .) or C(r-j, .) times column pairs that
-running sums of the plain steps give once per direction and that serve every
-generation.  Below r = 200 a walk without a run maps its full blocks that
-way, in O(r) products; otherwise, and within the partial block, a per-step
-loop walks s and the correction.  All arithmetic is plain Python int, so
-results are exact at any size.
+moves by a sum of r binomials C(r+j, .) or C(r-j, .) times column pairs,
+each one O(1) step from the one before, by the form F(n+2) - 1 of the sum
+of F(0..n), so a walk takes its r columns anew and no table of them is kept.
+Below r = 200 a walk without a run maps its full blocks that way, in O(r)
+products; otherwise, and within the partial block, a per-step loop walks s
+and the correction.  All arithmetic is plain Python int, so results are
+exact at any size.
 """
 
 from __future__ import annotations
@@ -179,48 +180,41 @@ _MAP_BELOW = 200   # generations below it map full blocks (break-even near 210)
 
 
 @cache
-def _plain(sign: int) -> tuple[int, ...]:
-    # g(0.._FOLD+1) with g(0), g(1) = 0, 1 and g(m+2) = g(m) + sign*g(m+1):
-    # m plain steps a, b = b, a + sign*b take (a, b) to
-    # (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); walked, so no closed form is
-    # called
-    g = [0, 1]
+def _plain(sign: int) -> tuple[int, int, int]:
+    # g(_FOLD-1), g(_FOLD), g(_FOLD+1), with g(0), g(1) = 0, 1 and
+    # g(m+2) = g(m) + sign*g(m+1): m plain steps a, b = b, a + sign*b take
+    # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); walked from
+    # g(-1), g(0) = 1, 0, so no closed form is called
+    a, b = 1, 0
     for _ in range(_FOLD):
-        g.append(g[-2] + sign * g[-1])
-    return tuple(g)
+        a, b = b, a + sign * b
+    return a, b, a + sign * b
 
 
-# Per direction sign, the pairs (U_i), (V_i) that _FOLD steps of the walk's
-# own step, s, t = t, s + sign*(t + b), take from (0, 0) when step j adds
-# b = C(j, i) forward or C(-1-j, i) backward, and the sums h_i(0.._FOLD) of
-# the last i.  _columns fills them in order on demand, fewer than _MAP_BELOW
-# per direction, and swaps in a whole new entry, so that a racing call reads
-# a consistent one.
-_COLUMNS = {1: ((), (), ()), -1: ((), (), ())}
-
-
-def _columns(sign: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # (U_i), (V_i) for at least i < m.  A correction b_j at step j reaches
+def _columns(sign: int, r: int) -> tuple[list[int], list[int]]:
+    # (U_i), (V_i) for i < r: the pair that _FOLD steps of the walk's own
+    # step, s, t = t, s + sign*(t + b), take from (0, 0) when step j adds
+    # b = C(j, i) forward or C(-1-j, i) backward.  A correction b_j reaches
     # the block's end as sign * b_j * (g(_FOLD-1-j), g(_FOLD-j)), so with
     # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(_FOLD-1) and V_i = sign *
     # h_i(_FOLD).  The b_j have generating function x^i / (1-x)^(i+1)
-    # forward and (-1)^i / (1-x)^(i+1) backward, so h_0 is the running sum
-    # of g, and h_i is the running sum of h_(i-1) before N forward, and
-    # minus it up to N backward: additions only, no closed form
-    us, vs, h = _COLUMNS[sign]
-    if len(us) < m:
-        us, vs = list(us), list(vs)
-        for i in range(len(us), m):
-            if not i:
-                h = list(accumulate(_plain(sign)[:_FOLD + 1]))
-            elif sign > 0:
-                h = list(accumulate(h[:-1], initial=0))
-            else:
-                h = list(accumulate(h, sub, initial=0))[1:]
-            us.append(sign * h[-2])
-            vs.append(sign * h[-1])
-        _COLUMNS[sign] = us, vs, h = tuple(us), tuple(vs), h
-    return us, vs
+    # forward and (-1)^i / (1-x)^(i+1) backward, so h_i is the running sum
+    # of h_(i-1) before N forward and minus it up to N backward, from
+    # h_(-1)(N) = g(N+1) forward and -g(N) backward; and as g has generating
+    # function x / (1 - sign*x - x^2), h_i(N) = h_(i-1)(N+1) - C(N+1, i)
+    # forward and h_(i-1)(N-1) + C(-N, i) backward, the form that
+    # sum_{k<=n} F(k) = F(n+2) - 1 takes.  So at N = _FOLD each column is
+    # one step p, q = q - c, p + q - c, c = C(sign*_FOLD, i), from the one
+    # before: (p, q) is (U_i, V_i) forward, from (g(_FOLD), g(_FOLD+1)),
+    # and (V_i, U_i) backward, from (g(_FOLD), g(_FOLD-1))
+    x0, y0, y1 = _plain(sign)
+    p, q = (y0, y1) if sign > 0 else (y0, x0)
+    ps, qs = [], []
+    for c in _binomials(sign * _FOLD, r):
+        p, q = q - c, p + q - c
+        ps.append(p)
+        qs.append(q)
+    return (ps, qs) if sign > 0 else (qs, ps)
 
 
 def _binomials(x: int, m: int) -> list[int]:
@@ -247,9 +241,8 @@ def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     # identity its correction at step j+i is sum_k C(i, k) * C(r+j, r-1-k)
     # forward and sum_k C(-1-i, k) * C(r-j, r-1-k) backward.  A mapped
     # block costs the r binomials C(r + sign*j, .) and 2r products, a walked
-    # one _FOLD steps, so only r < _MAP_BELOW maps; and as a missing column
-    # costs a running sum of _FOLD + 1 additions, less than a walked block,
-    # no more of them are filled than the walk has full blocks.  A given run
+    # one _FOLD steps, so only r < _MAP_BELOW maps, and only a walk with a
+    # full block takes the r columns, r more steps and binomials.  A given run
     # receives W(0..steps-1), F_r(0..n-1) forward or F_r(1), F_r(0), ...,
     # F_r(n+1) backward; with one, the walk is one block and nothing is
     # mapped, so s, t are the terms themselves
@@ -258,10 +251,9 @@ def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
     else:
         sign, op, steps, s, t, c, d0 = -1, sub, 1 - n, 1, 0, min(r, 1), r - 1
     e = sign * (r - 1)
-    g = _plain(sign)
-    x0, y0, y1 = g[_FOLD - 1], g[_FOLD], g[_FOLD + 1]
+    x0, y0, y1 = _plain(sign)
     cols = None
-    if run is None and r < _MAP_BELOW and r - len(_COLUMNS[sign][0]) <= steps // _FOLD:
+    if run is None and r < _MAP_BELOW and steps >= _FOLD:
         cols = _columns(sign, r)
     a = b = lo = 0
     for hi in range(steps % _FOLD if run is None else steps, steps + 1, _FOLD):

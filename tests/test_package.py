@@ -68,10 +68,25 @@ def test_cli_start_up_skips_heavy_modules():
 
 
 def test_cli_start_up_walks_no_columns():
-    # the recurrence walk's column cache fills on demand, not at import
+    # the plain map every column starts from is walked on demand, not at import
     script = ("import hyperfib.cli, hyperfib.sequences as s; "
-              "print(s._COLUMNS == {1: ((), (), ()), -1: ((), (), ())})")
-    assert _fresh("-c", script) == "True\n"
+              "print(s._plain.cache_info().currsize)")
+    assert _fresh("-c", script) == "0\n"
+
+
+def test_walk_maps_the_same_blocks_cold_and_after_a_longer_walk():
+    # the rows of binomials a walk maps its full blocks with depend only on
+    # (r, n): 15 blocks and the columns, in a fresh process and again after a
+    # walk of 40 blocks
+    script = ("import hyperfib.sequences as s\n"
+              "rows, binomials, calls = [], s._binomials, []\n"
+              "s._binomials = lambda x, m: rows.append((x, m)) or binomials(x, m)\n"
+              "for blocks in (15, 40, 15):\n"
+              "    s._recurrence(16, blocks * s._FOLD)\n"
+              "    calls.append(rows[:])\n"
+              "    rows.clear()\n"
+              "print(calls[0] == calls[2], len(calls[0]))\n")
+    assert _fresh("-c", script) == "True 16\n"
 
 
 def test_deferred_imports_load_when_used():

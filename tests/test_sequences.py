@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -208,7 +209,6 @@ class TestWalks:
     def test_mapped_walks_are_the_terms(self, r, n):
         # without a run the big pair crosses each full block by one map, and
         # below the cutoff the small pair by the columns
-        _fill_columns(r)
         assert _recurrence(r, n) == sequence(r).term(n)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -218,7 +218,6 @@ class TestWalks:
         # one of 511 steps, up to 40 full blocks; backward, full blocks that
         # start at step r - 1, r or r + 1, around the singular step of the
         # carried correction, C(0, r-1) -> C(-1, r-1)
-        _fill_columns(r)
         seq = sequence(r)
         ns = {sign * (_FOLD * q + d) for q in range(41) for d in (-1, 0, 1)}
         if sign < 0:
@@ -233,9 +232,6 @@ class TestWalks:
         # the full blocks are mapped just below the cutoff and walked from it
         # on; forced each way, both paths give the terms on both sides of it
         cutoff = sequences._MAP_BELOW
-        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
-        for sign in (1, -1):
-            sequences._columns(sign, cutoff)
         rows = []
         binomials = sequences._binomials
         monkeypatch.setattr(sequences, "_binomials",
@@ -248,34 +244,33 @@ class TestWalks:
                 assert _recurrence(r, n) == expected
                 assert bool(rows) == (r < below)
 
-    def test_one_shot_walk_takes_no_more_columns_than_blocks(self, monkeypatch):
-        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
-        assert _recurrence(16, 15 * _FOLD) == sequence(16).term(15 * _FOLD)
-        assert _recurrence(16, -16 * _FOLD - 1) == sequence(16).term(-16 * _FOLD - 1)
-        # 15 full blocks walked forward, 16 mapped backward
-        assert [len(sequences._COLUMNS[sign][0]) for sign in (1, -1)] == [0, 16]
-
     def test_calls_no_closed_form(self, monkeypatch):
         expected = {n: sequence(5).term(n) for n in (3000, -3000)}
 
         def closed_form(*args):
             raise AssertionError("the oracle called the closed form")
 
-        # empty caches, so the columns and the plain map are walked here too
-        monkeypatch.setattr(sequences, "_COLUMNS", {1: ((), (), ()), -1: ((), (), ())})
+        # an empty cache, so the plain map is walked here too
         sequences._plain.cache_clear()
         monkeypatch.setattr(sequences, "_fib_pair", closed_form)
         monkeypatch.setattr(HyperfibSequence, "_seed", closed_form)
         for n, value in expected.items():
             assert _recurrence(5, n) == value
-        assert [len(sequences._COLUMNS[sign][0]) for sign in (1, -1)] == [5, 5]
 
-
-def _fill_columns(r):
-    # the columns every full block of a walk below the cutoff maps with, so
-    # that such a walk maps them whatever the tests before it filled
-    for sign in (1, -1):
-        sequences._columns(sign, min(r, sequences._MAP_BELOW - 1))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_columns_are_their_definition(self, sign):
+        # column i is the pair that _FOLD steps s, t = t, s + sign*(t + b_j)
+        # take from (0, 0), with b_j = C(j, i) forward and C(-1-j, i) =
+        # (-1)^i * C(i+j, i) backward
+        m = sequences._MAP_BELOW - 1
+        us, vs = sequences._columns(sign, m)
+        assert len(us) == len(vs) == m
+        for i in range(m):
+            s = t = 0
+            for j in range(_FOLD):
+                b = comb(j, i) if sign > 0 else (-1) ** i * comb(i + j, i)
+                s, t = t, s + sign * (t + b)
+            assert (us[i], vs[i]) == (s, t), i
 
 
 class TestHyperfibSequence:
