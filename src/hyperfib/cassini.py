@@ -5,9 +5,10 @@ F(n+2m-2) of one generation into the symmetric Hankel matrix with entries
 M[i][j] = F(n+i+j).  For m = r+2 the determinant is always +1 or -1 and the
 sign follows a closed formula in n and r, generalizing the classical
 Cassini identity; for m > r+2 the determinant vanishes identically.  Both
-follow from chi = (x^2-x-1)(x-1)^r annihilating the run of terms, and
-``_run_dets`` decides the windows of a run from that residual; verify's
-cassini and zero suites and the CLI's ``det`` read it.
+follow from chi = (x^2-x-1)(x-1)^r (``sequences._chi``) annihilating the
+run of terms, and ``_run_dets`` decides the windows of a run from that
+residual; verify's cassini and zero suites and the CLI's ``det`` read it.
+The windows themselves are ``exact_linalg.hankel`` of a run of terms.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from operator import mul
 
-from .exact_linalg import IntMatrix, Polynomial, _bareiss, _Record, det
-from .sequences import fibonacci, sequence
+from .exact_linalg import IntMatrix, _bareiss, _Record, det, hankel
+from .sequences import _chi, fibonacci, sequence
 
 
 def build_window(m: int, n: int, r: int) -> IntMatrix:
@@ -25,16 +26,6 @@ def build_window(m: int, n: int, r: int) -> IntMatrix:
     if m < 1:
         raise ValueError("window size must be >= 1")
     return hankel(sequence(r).terms(n, n + 2 * m - 1), m)
-
-
-def hankel(terms: Sequence[int], m: int) -> IntMatrix:
-    """The m x m Hankel matrix M[i][j] = terms[i+j] of the first 2m-1 terms."""
-    return IntMatrix(m, tuple(terms[i + j] for i in range(m) for j in range(m)))
-
-
-def _chi(r: int) -> Polynomial:
-    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
-    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
 
 
 def _run_dets(run: Sequence[int], r: int, sizes: Iterable[int]) -> list[list[int]]:

@@ -1,8 +1,9 @@
 """Dense exact integer linear algebra on square matrices.
 
 Every matrix of the paper is square, the companion (Q-) matrix and the
-Hankel windows alike, so ``IntMatrix`` is square by construction.  Entries
-are arbitrary-precision Python ints and never touch floating point.
+Hankel windows alike, so ``IntMatrix`` is square by construction, and
+``hankel`` lays a run of 2m-1 terms out as the m x m matrix of a window.
+Entries are arbitrary-precision Python ints and never touch floating point.
 Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
@@ -109,6 +110,13 @@ class IntMatrix(_Record, namedtuple("IntMatrix", "rows entries")):
 
     def __str__(self) -> str:
         return "\n".join(" ".join(to_decimal(x) for x in row) for row in self.to_rows())
+
+
+def hankel(terms: Sequence[int], m: int) -> IntMatrix:
+    """The m x m Hankel matrix M[i][j] = terms[i+j] of the first 2m-1 terms."""
+    if len(terms) < 2 * m - 1:
+        raise ValueError(f"a Hankel matrix of size {m} needs {2 * m - 1} terms, got {len(terms)}")
+    return IntMatrix(m, tuple(terms[i + j] for i in range(m) for j in range(m)))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

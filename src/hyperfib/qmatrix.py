@@ -9,9 +9,9 @@ has a long run of zeros); ``infer_recurrence`` re-derives them generically
 as the minimal recurrence fitting a prefix, giving an independent
 cross-check, and the last three weights also have closed forms.  Powers Q^n,
 as sums of powers of Q - I (x^n mod the characteristic polynomial, in
-powers of x - 1), give the windows at any index n, and the matpow term
-strategy reads single terms from the same sum, with the weights and the
-differences it weights taken from one run at index 0.
+powers of x - 1), give the windows at any index n: ``reconstruct`` reads
+them through the matpow term route of ``sequences``, which holds the
+weights, the differences they weight and the power itself.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from math import comb
-from operator import sub
 
-from .cassini import hankel
-from .exact_linalg import IntMatrix, _exact_div, _Record, _shift_chi, _y_pow_mod
-from .sequences import sequence
+from .exact_linalg import IntMatrix, _exact_div, _Record, hankel
+from .sequences import _power_setup, _power_terms, _weights, sequence
 
 TYPE_CHECKING = False   # true for type checkers, which resolve Fraction below
 if TYPE_CHECKING:
@@ -53,15 +51,6 @@ def build_q(r: int) -> QMatrix:
     return QMatrix(r, weights, IntMatrix(k, tuple(entries)))
 
 
-def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
-    # build_q's back-substitution for q_1..q_k from f = F_r(0..), k = r+2
-    q = [0] * (k + 1)   # 1-indexed
-    q[k] = f[2]
-    for j in range(k - 1, 0, -1):
-        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
-    return tuple(q[1:])
-
-
 def q_closed_tail(r: int) -> tuple[int, int, int]:
     """Closed forms for the last three weights (q_r, q_{r+1}, q_{r+2}).
 
@@ -84,34 +73,6 @@ def reconstruct(r: int, n: int) -> IntMatrix:
     """
     k = r + 2
     return hankel(_power_terms(_power_setup(r, 2 * k - 1), n, 2 * k - 1), k)
-
-
-def _power_setup(r: int, count: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
-    """``_shift_chi(chi)`` and the forward differences of F_r(0..max(k+1, k+count-2)).
-
-    chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
-    Delta^i F_r(j), i < k, for j < count at least.  Both depend on r and
-    count alone, so callers that power one generation at many n compute
-    them once.  The weights come from the run itself: the closed form is
-    seeded only at 0.
-    """
-    k = r + 2
-    run = sequence(r).terms(0, max(k + 2, k + count - 1))
-    chi = tuple(-x for x in _weights(run, k)) + (1,)
-    diffs = [run]
-    for _ in range(k - 1):
-        run = list(map(sub, run[1:], run))
-        diffs.append(run)
-    return _shift_chi(chi), diffs
-
-
-def _power_terms(setup: tuple[tuple[list[int], list[int]], list[list[int]]], n: int,
-                 count: int) -> list[int]:
-    # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
-    # count <= the count the setup was built for
-    shifted, diffs = setup
-    q = _y_pow_mod(n, *shifted)
-    return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]
 
 
 def infer_recurrence(terms: Sequence[int], max_order: int) -> list[int | Fraction]:

@@ -36,18 +36,29 @@ each one O(1) step from the one before, by the form F(n+2) - 1 of the sum
 of F(0..n), so a walk takes its r columns anew and no table of them is kept.
 Below r = 200 a walk without a run maps its full blocks that way, in O(r)
 products; otherwise, and within the partial block, a per-step loop walks s
-and the correction.  All arithmetic is plain Python int, so results are
-exact at any size.
+and the correction.
+
+The matpow strategy reads F_r(n) from generation r's homogeneous
+recurrence of order r+2: ``_weights`` back-substitutes its weights q from
+the run at index 0, ``_power_setup`` takes that run's forward differences
+and chi = x^(r+2) - sum q_i x^(i-1) shifted to powers of y = x - 1, and
+``_power_terms`` weights the differences by (1 + y)^n mod chi(1 + y).
+``_chi`` is the paper's form of the same polynomial, (x^2-x-1)(x-1)^r.
+The companion matrix, the Hankel windows and the verification suites all
+build on this module; it imports only ``exact_linalg``.  All arithmetic is
+plain Python int, so results are exact at any size.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import cache
 from itertools import accumulate
 from operator import add, mul, sub
+
+from .exact_linalg import Polynomial, _shift_chi, _y_pow_mod
 
 
 class Strategy(Enum):
@@ -151,9 +162,7 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
     if strategy is Strategy.RECURRENCE:
         return _recurrence(r, n)
     if strategy is Strategy.MATRIX_POWER:
-        from . import qmatrix   # deferred: qmatrix builds on this module
-
-        return qmatrix._power_terms(qmatrix._power_setup(r, 1), n, 1)[0]
+        return _power_terms(_power_setup(r, 1), n, 1)[0]
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
@@ -268,3 +277,45 @@ def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
                 c = c * (d + e) // d if d else (-1) ** (r - 1)
         a, b, s, t, lo = x0 * a + y0 * b + s, y0 * a + y1 * b + t, 0, 0, hi
     return a
+
+
+def _chi(r: int) -> Polynomial:
+    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
+    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
+
+
+def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
+    # build_q's back-substitution for q_1..q_k from f = F_r(0..), k = r+2
+    q = [0] * (k + 1)   # 1-indexed
+    q[k] = f[2]
+    for j in range(k - 1, 0, -1):
+        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
+    return tuple(q[1:])
+
+
+def _power_setup(r: int, count: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
+    """``_shift_chi(chi)`` and the forward differences of F_r(0..max(k+1, k+count-2)).
+
+    chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
+    Delta^i F_r(j), i < k, for j < count at least.  Both depend on r and
+    count alone, so callers that power one generation at many n compute
+    them once.  The weights come from the run itself: the closed form is
+    seeded only at 0.
+    """
+    k = r + 2
+    run = sequence(r).terms(0, max(k + 2, k + count - 1))
+    chi = tuple(-x for x in _weights(run, k)) + (1,)
+    diffs = [run]
+    for _ in range(k - 1):
+        run = list(map(sub, run[1:], run))
+        diffs.append(run)
+    return _shift_chi(chi), diffs
+
+
+def _power_terms(setup: tuple[tuple[list[int], list[int]], list[list[int]]], n: int,
+                 count: int) -> list[int]:
+    # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
+    # count <= the count the setup was built for
+    shifted, diffs = setup
+    q = _y_pow_mod(n, *shifted)
+    return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]

@@ -10,6 +10,10 @@ where a suite shares work between cases:
 - crosscheck walks the prefix and recurrence routes once per generation
   and takes matpow's shifted chi and differences once per generation;
   each matpow case still computes its own power (1 + y)^n mod chi(1 + y).
+  A recurrence walk that records its terms takes every step and maps no
+  block, so where a walk spans a full block of ``sequences._FOLD`` steps
+  its end case (n_max, or n_min) is read from a walk without a record,
+  which maps its full blocks.
 - general walks each random pair once for all its window sizes.
 
 Suites are deterministic; the one randomized suite (general) draws from a
@@ -23,10 +27,11 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
-from .cassini import SecondOrderPair, _chi, _run_dets, general_cassini_walk, predicted_sign
+from .cassini import SecondOrderPair, _run_dets, general_cassini_walk, predicted_sign
 from .exact_linalg import _Record, char_poly, det
-from .qmatrix import _power_setup, _power_terms, build_q
-from .sequences import Strategy, _prefix_row, _recurrence, sequence
+from .qmatrix import build_q
+from .sequences import (_FOLD, Strategy, _chi, _power_setup, _power_terms, _prefix_row,
+                        _recurrence, sequence)
 
 DEFAULT_SEED = 1729
 
@@ -92,8 +97,12 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
         if n_max >= 0:
             prefix = list(_prefix_row(r, n_max))
             forward.append(_recurrence(r, n_max, forward))
+            if n_max >= _FOLD:   # a walk with a run maps no block: check one that does
+                forward[-1] = _recurrence(r, n_max)
         if n_min < 0:
             backward.append(_recurrence(r, n_min, backward))
+            if 1 - n_min >= _FOLD:
+                backward[-1] = _recurrence(r, n_min)
         setup = _power_setup(r, 1)
         for n, reference in zip(range(n_min, n_max + 1), expected):
             cases += 1

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperfib.cli as cli
-import hyperfib.qmatrix as qmatrix
+import hyperfib.sequences as sequences
 import hyperfib.verify as verification
 from hyperfib.cassini import build_window, hankel, predicted_sign
 from hyperfib.cli import main
@@ -619,16 +619,31 @@ class TestVerifyModule:
 
     def test_one_power_per_matpow_case(self, monkeypatch):
         # every matpow case is an independent power of 1 + y mod chi(1 + y)
-        actual, powers = qmatrix._y_pow_mod, []
+        actual, powers = sequences._y_pow_mod, []
 
         def counted(e, d, g):
             powers.append(e)
             return actual(e, d, g)
 
-        monkeypatch.setattr(qmatrix, "_y_pow_mod", counted)
+        monkeypatch.setattr(sequences, "_y_pow_mod", counted)
         [report] = verify_all(3, -6, 8, ["crosscheck"])
         assert not report.failures and report.cases == 4 * 15
         assert powers == list(range(-6, 9)) * 4
+
+    @pytest.mark.parametrize("n_min, n_max, n", [(600, 610, 610), (-620, -610, -620)])
+    def test_recurrence_checks_a_mapped_block(self, monkeypatch, n_min, n_max, n):
+        # a walk with a run maps no block, so a walk past one full block
+        # checks its end case by the walk that maps it
+        actual = sequences._columns
+
+        def rigged(sign, r):
+            ps, qs = actual(sign, r)
+            return [ps[0] + 1, *ps[1:]] if ps else ps, qs
+
+        monkeypatch.setattr(sequences, "_columns", rigged)
+        [report] = verify_all(3, n_min, n_max, ["crosscheck"])
+        assert report.cases == 4 * 11
+        assert [f.case for f in report.failures] == [f"r={r} n={n} recurrence" for r in (1, 2, 3)]
 
     @pytest.mark.parametrize("n_min, n_max", [(-6, 8), (3, 9), (-9, -2), (0, 0), (-1, -1)])
     def test_walks_once_per_generation(self, monkeypatch, n_min, n_max):

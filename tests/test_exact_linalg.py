@@ -13,6 +13,7 @@ from hyperfib.exact_linalg import (
     adjugate_inverse,
     char_poly,
     det,
+    hankel,
     mat_mul,
     mat_pow,
 )
@@ -145,6 +146,19 @@ class TestIntMatrix:
             assert [[int(x) for x in line.split(" ")] for line in text.split("\n")] == m.to_rows()
         finally:
             sys.set_int_max_str_digits(old)
+
+
+class TestHankel:
+    def test_reads_the_first_2m_minus_1_terms(self):
+        assert hankel([1, 2, 3], 2).to_rows() == [[1, 2], [2, 3]]
+        assert hankel([1, 2, 3, 4, 5, 6], 2) == hankel([1, 2, 3], 2)
+        assert hankel((7,), 1).to_rows() == [[7]]
+
+    @pytest.mark.parametrize("terms, m", [([1, 2], 2), ([], 1), ([0] * 8, 5)])
+    def test_rejects_a_short_run(self, terms, m):
+        message = f"^a Hankel matrix of size {m} needs {2 * m - 1} terms, got {len(terms)}$"
+        with pytest.raises(ValueError, match=message):
+            hankel(terms, m)
 
 
 class TestMatMul:

@@ -211,6 +211,49 @@ def test_imports_only_the_standard_library():
     assert outside == []
 
 
+# each module imports only modules of a lower layer; cassini and qmatrix
+# share one, so neither imports the other
+LAYERS = {"exact_linalg": 0, "sequences": 1, "cassini": 2, "qmatrix": 2, "verify": 3, "cli": 4}
+
+
+def _package_imports(tree):
+    """The hyperfib module each import in the tree loads ("__init__" for the package)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "hyperfib":
+            found += [node.module.partition(".")[2] or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [a.name.partition(".")[2] or "__init__" for a in node.names
+                      if a.name.split(".")[0] == "hyperfib"]
+    return [module.split(".")[0] for module in found]
+
+
+def _layered_modules():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "hyperfib").glob("*.py"))
+            if path.stem not in ("__init__", "__main__")}
+
+
+def test_no_function_imports_a_package_module():
+    deferred = [f"{stem}.{fn.name}: {module}"
+                for stem, tree in _layered_modules().items()
+                for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for module in _package_imports(fn)]
+    assert deferred == []
+
+
+def test_modules_import_only_lower_layers():
+    modules = _layered_modules()
+    assert sorted(modules) == sorted(LAYERS)
+    upward = [f"{stem} -> {module}" for stem, tree in modules.items()
+              for module in _package_imports(tree)
+              if LAYERS.get(module, len(LAYERS)) >= LAYERS[stem]]
+    assert upward == []
+
+
 @pytest.mark.parametrize("argv, shown", [
     pytest.param(argv, shown, id=" ".join(argv)) for argv, shown in _cli_examples()])
 def test_readme_cli_examples(argv, shown):
