@@ -6,12 +6,13 @@ rows 1..r+1 are the shifted identity and the last row carries the
 recurrence weights q_1..q_{r+2}.  The weights come from a triangular
 back-substitution against the terms around index 0 (where every generation
 has a long run of zeros); ``infer_recurrence`` re-derives them generically
-as the minimal recurrence fitting a prefix, giving an independent
-cross-check, and the last three weights also have closed forms.  Powers Q^n,
-as sums of powers of Q - I (x^n mod the characteristic polynomial, in
-powers of x - 1), give the windows at any index n: ``reconstruct`` reads
-them through the matpow term route of ``sequences``, which holds the
-weights, the differences they weight and the power itself.
+as the minimal recurrence fitting a prefix, found by Berlekamp-Massey
+(Massey 1969; at least 2 * max_order terms make it unique), giving an
+independent cross-check, and the last three weights also have closed
+forms.  Powers Q^n, as sums of powers of Q - I (x^n mod the characteristic
+polynomial, in powers of x - 1), give the windows at any index n:
+``reconstruct`` reads them through the matpow term route of ``sequences``,
+which holds the weights, the differences they weight and the power itself.
 """
 
 from __future__ import annotations
@@ -79,51 +80,37 @@ def infer_recurrence(terms: Sequence[int], max_order: int) -> list[int | Fractio
     """Weights (c_1..c_k) of the minimal recurrence fitting the terms.
 
     Finds the least k <= max_order such that a(j+k) = sum_i c_i * a(j+i-1)
-    holds for every window of the input, solving the windowed linear system
-    exactly over the rationals.  Integral weights come back as plain ints.
-    Returns [] when no order up to max_order fits.
+    holds for every window of the input, by one Berlekamp-Massey pass over
+    the rationals (J. L. Massey, IEEE Trans. Inf. Theory 15, 1969).  With at
+    least 2 * max_order terms a recurrence of order k <= max_order is the
+    only one of its order, so the weights are unique.  Integral weights come
+    back as plain ints; an all-zero input gives [0].  Returns [] when no
+    order up to max_order fits.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if len(terms) < 2 * max_order:
         raise ValueError("need at least 2 * max_order terms")
-    for k in range(1, max_order + 1):
-        solution = _solve_windows(terms, k)
-        if solution is not None:
-            return [int(c) if c.denominator == 1 else c for c in solution]
-    return []
+    from fractions import Fraction   # deferred: only this pass needs it
 
-
-def _solve_windows(terms: Sequence[int], k: int) -> list[Fraction] | None:
-    # Gauss-Jordan over Fractions on every window equation; None = no fit
-    from fractions import Fraction   # deferred: only this solver needs it
-
-    rows = [
-        [Fraction(terms[j + i]) for i in range(k)] + [Fraction(terms[j + k])]
-        for j in range(len(terms) - k)
-    ]
-    rank = 0
-    pivot_cols = []
-    for col in range(k):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = rows[rank][col]
-        rows[rank] = [x / scale for x in rows[rank]]
-        lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        pivot_cols.append(col)
-        rank += 1
-    if any(rows[i][k] for i in range(rank, len(rows))):
-        return None   # inconsistent: no recurrence of this order
-    solution = [Fraction(0)] * k   # free weights stay zero
-    for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][k]
-    for j in range(len(terms) - k):
-        if sum(solution[i] * terms[j + i] for i in range(k)) != terms[j + k]:
-            return None
-    return solution
+    # c = 1 + c_1 x + ... is the connection polynomial of the shortest
+    # recurrence so far, of order length: sum_j c_j a(i-j) = 0 for
+    # length <= i.  b is c as it was before the last change of order, b_gap
+    # the discrepancy gap that made that change, shift the terms since.
+    c, b, b_gap = [Fraction(1)], [Fraction(1)], Fraction(1)
+    length, shift = 0, 1
+    for i in range(len(terms)):
+        gap = sum(x * terms[i - j] for j, x in enumerate(c))   # len(c) <= i+1
+        if gap:
+            before, scale = c, gap / b_gap
+            c = c + [0] * (shift + len(b) - len(c))
+            for j, x in enumerate(b):
+                c[j + shift] -= scale * x
+            if 2 * length <= i:
+                length, b, b_gap, shift = i + 1 - length, before, gap, 0
+        shift += 1
+    if length > max_order:
+        return []
+    c += [0] * (length + 1 - len(c))
+    weights = [-c[j] for j in range(length, 0, -1)] or [0]
+    return [int(w) if w.denominator == 1 else w for w in weights]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfib.cassini import build_window
 from hyperfib.exact_linalg import det, mat_mul
@@ -148,6 +150,31 @@ class TestPowerTerms:
                 assert _power_terms(setup, n, count) == _x_basis_terms(r, n, count), (n, count)
 
 
+@st.composite
+def _recurrence_inputs(draw, kind):
+    # (terms, max_order, k): terms stepped by random integer weights of order
+    # k <= max_order from random initial values, or any integers (k None);
+    # 2 * max_order to 2 * max_order + 4 terms
+    max_order = draw(st.integers(1, 5))
+    length = 2 * max_order + draw(st.integers(0, 4))
+    if kind == "arbitrary":
+        terms = draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
+        return terms, max_order, None
+    k = draw(st.integers(1, max_order))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    terms = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
+    while len(terms) < length:
+        terms.append(sum(w * t for w, t in zip(weights, terms[-k:])))
+    return terms, max_order, k
+
+
+def _fits(terms, weights):
+    # a(j+k) = sum_i c_i * a(j+i-1) for every window of the terms
+    k = len(weights)
+    return all(sum(c * t for c, t in zip(weights, terms[j:j + k])) == terms[j + k]
+               for j in range(len(terms) - k))
+
+
 class TestInferRecurrence:
     def test_fibonacci(self):
         assert infer_recurrence([0, 1, 1, 2, 3, 5, 8, 13], 4) == [1, 1]
@@ -173,7 +200,36 @@ class TestInferRecurrence:
         with pytest.raises(ValueError):
             infer_recurrence([1, 2, 3, 4], 0)
 
-    @pytest.mark.parametrize("r", range(0, 7))
+    @pytest.mark.parametrize(
+        ("terms", "max_order", "expected"),
+        [
+            ([0] * 6, 3, [0]),
+            ([5, 1, 2, 4, 8, 16], 3, [0, 2]),   # first weight zero at the least order
+            ([0, 0, 0, 1], 2, []),
+            ([0, 0, 1, 0, 0, 1], 3, [1, 0, 0]),
+            ([Fraction(1, 2), 1, 2, 4], 2, [2]),
+            ([1, -1, 1, -1], 2, [-1]),
+        ],
+    )
+    def test_degenerate_inputs(self, terms, max_order, expected):
+        assert infer_recurrence(terms, max_order) == expected
+
+    @given(_recurrence_inputs("generated"))
+    @settings(max_examples=150, deadline=None)
+    def test_finds_a_recurrence_no_longer_than_the_generating_one(self, case):
+        terms, max_order, k = case
+        found = infer_recurrence(terms, max_order)
+        assert found and len(found) <= k
+        assert _fits(terms, found)
+
+    @given(_recurrence_inputs("arbitrary"))
+    @settings(max_examples=150, deadline=None)
+    def test_any_recurrence_found_fits_every_window(self, case):
+        terms, max_order, _ = case
+        found = infer_recurrence(terms, max_order)
+        assert not found or _fits(terms, found)
+
+    @pytest.mark.parametrize("r", range(0, 31))
     def test_agrees_with_back_substitution(self, r):
         order = r + 2
         prefix = sequence(r).terms(0, 2 * order + 4)
