@@ -22,21 +22,20 @@ no cache.  Three independent evaluation strategies are provided and agree
 wherever they are defined, which the test suite uses as a cross-check.  The
 recurrence strategy walks both signs of n the same way: W(j) = F_r(j), from
 W(0), W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0,
-by its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  Each walked
-term is a + s: the big part a takes only the plain Fibonacci step (or its
-backward form), and the small part s takes the corrections.  The walk goes
-in blocks of 512 steps.  Across a block the plain step is one fixed linear
-map, walked once, which the big pair takes at the block's end (four products
-by numbers of about 355 bits); then s is folded into a and restarts at 0.
-By Vandermonde's identity the correction at step i of a block from step j,
-C(r+j+i, r-1), is sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) =
-sum_k C(-1-i, k) * C(r-j, r-1-k)).  So across a full block the small pair
-moves by a sum of r binomials C(r+j, .) or C(r-j, .) times column pairs,
-each one O(1) step from the one before, by the form F(n+2) - 1 of the sum
-of F(0..n), so a walk takes its r columns anew and no table of them is kept.
-Below r = 200 a walk without a run maps its full blocks that way, in O(r)
-products; otherwise, and within the partial block, a per-step loop walks s
-and the correction.
+by its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  One endless
+walk yields W(0), W(1), ... a step at a time; F_r(n) takes from it only the
+first (steps mod 512) steps and crosses each full block of 512 steps after
+them by a map.  Across a block each term is a + s: the big part a takes only
+the plain Fibonacci step (or its backward form), one fixed linear map over
+the block, walked once (four products by numbers of about 355 bits), and the
+small part s takes the block's corrections from 0.  By Vandermonde's
+identity the correction at step i of a block from step j, C(r+j+i, r-1), is
+sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) = sum_k C(-1-i, k) *
+C(r-j, r-1-k)).  So across a full block the small pair moves by a sum of r
+binomials C(r+j, .) or C(r-j, .) times column pairs, each one O(1) step from
+the one before, by the form F(n+2) - 1 of the sum of F(0..n), so a walk
+takes its r columns anew, no table of them is kept, and a full block costs
+O(r) products at every r.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_weights`` back-substitutes its weights q from
@@ -55,7 +54,7 @@ from collections import deque
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, count, islice
 from operator import add, mul, sub
 
 from .exact_linalg import Polynomial, _shift_chi, _y_pow_mod
@@ -184,8 +183,7 @@ def _prefix_row(r: int, n: int) -> Iterator[int]:
         yield from block
 
 
-_FOLD = 512        # steps in each block of _recurrence's walk and of _prefix_row
-_MAP_BELOW = 200   # generations below it map full blocks (break-even near 210)
+_FOLD = 512   # steps in each block of _recurrence's walk and of _prefix_row
 
 
 @cache
@@ -233,49 +231,45 @@ def _binomials(x: int, m: int) -> list[int]:
     return list(steps)[:m]
 
 
-def _recurrence(r: int, n: int, run: list[int] | None = None) -> int:
-    # one walk for both signs of n.  W(j) = F_r(j) forward (sign 1) or
+def _walk(r: int, sign: int) -> Iterator[int]:
+    # W(0), W(1), ... without end: W(j) = F_r(j) forward (sign 1) or
     # F_r(1-j) backward (sign -1) starts W(0), W(1) = 0, 1 or 1, 0 and steps
     # W(j+2) = W(j) + sign*(W(j+1) + C(y, r-1)), y = r+j forward and r-1-j
-    # backward, to W(steps) = F_r(n), steps = n or 1-n.  It calls no closed
-    # form, so the tests hold HyperfibSequence against it.  Each term is
-    # a + s: the big pair a, b takes only the plain step, the small pair
-    # s, t the start values and the corrections.  The walk goes in blocks of
-    # _FOLD steps, the partial one first, where a, b = 0, 0; at a block's end
-    # the big pair takes the map of _FOLD plain steps, which leaves 0 at 0,
-    # and the small pair is folded into it and restarts at 0.  The per-step
-    # loop carries C(y, r-1) by the exact step c * (d + e) / d, where d is 0
-    # only as backward y goes from 0 to -1.  A full block from step j may
-    # take its small pair from the columns instead: by Vandermonde's
-    # identity its correction at step j+i is sum_k C(i, k) * C(r+j, r-1-k)
-    # forward and sum_k C(-1-i, k) * C(r-j, r-1-k) backward.  A mapped
-    # block costs the r binomials C(r + sign*j, .) and 2r products, a walked
-    # one _FOLD steps, so only r < _MAP_BELOW maps, and only a walk with a
-    # full block takes the r columns, r more steps and binomials.  A given run
-    # receives W(0..steps-1), F_r(0..n-1) forward or F_r(1), F_r(0), ...,
-    # F_r(n+1) backward; with one, the walk is one block and nothing is
-    # mapped, so s, t are the terms themselves
-    if n >= 0:
-        sign, op, steps, s, t, c, d0 = 1, add, n, 0, 1, r, 2
+    # backward.  It calls no closed form, so the tests hold HyperfibSequence
+    # against it.  The correction C(y, r-1) is carried by the exact step
+    # c * (d + e) / d, where d is 0 only as backward y goes from 0 to -1
+    if sign > 0:
+        op, s, t, c, d0 = add, 0, 1, r, 2
     else:
-        sign, op, steps, s, t, c, d0 = -1, sub, 1 - n, 1, 0, min(r, 1), r - 1
+        op, s, t, c, d0 = sub, 1, 0, min(r, 1), r - 1
     e = sign * (r - 1)
-    x0, y0, y1 = _plain(sign)
-    cols = None
-    if run is None and r < _MAP_BELOW and steps >= _FOLD:
+    for d in count(d0, sign):
+        yield s
+        s, t = t, op(s, t + c)
+        c = c * (d + e) // d if d else (-1) ** (r - 1)
+
+
+def _recurrence(r: int, n: int) -> int:
+    # F_r(n) = W(steps) of _walk, steps = n or 1-n, with no closed form
+    # called.  The walk gives W(head), W(head+1), head = steps % _FOLD; each
+    # full block of _FOLD steps after it is one map.  The pair is a + s: the
+    # big part a, b takes the map of _FOLD plain steps, and the small part
+    # s, t the corrections of the block, from 0.  By Vandermonde's identity
+    # the correction at step j+i of a block from step j is sum_k C(i, k) *
+    # C(r+j, r-1-k) forward and sum_k C(-1-i, k) * C(r-j, r-1-k) backward,
+    # so s, t is the r binomials C(r + sign*j, .) times the r columns.  A
+    # walk with a full block takes the columns once, r more steps and
+    # binomials, and each block 2r products
+    sign, steps = (1, n) if n >= 0 else (-1, 1 - n)
+    head = steps % _FOLD
+    a, b = islice(_walk(r, sign), head, head + 2)
+    if steps >= _FOLD:
+        x0, y0, y1 = _plain(sign)
         cols = _columns(sign, r)
-    a = b = lo = 0
-    for hi in range(steps % _FOLD if run is None else steps, steps + 1, _FOLD):
-        if cols and hi - lo == _FOLD:
+        for lo in range(head, steps, _FOLD):
             row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
             s, t = (sum(map(mul, row, col)) for col in cols)
-        else:
-            for d in range(d0 + sign * lo, d0 + sign * hi, sign):
-                if run is not None:
-                    run.append(s)
-                s, t = t, op(s, t + c)
-                c = c * (d + e) // d if d else (-1) ** (r - 1)
-        a, b, s, t, lo = x0 * a + y0 * b + s, y0 * a + y1 * b + t, 0, 0, hi
+            a, b = x0 * a + y0 * b + s, y0 * a + y1 * b + t
     return a
 
 

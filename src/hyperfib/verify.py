@@ -7,13 +7,12 @@ where a suite shares work between cases:
 - cassini and zero cut their windows from one closed-form run per
   generation and read all of their determinants from
   ``cassini._run_dets``.
-- crosscheck walks the prefix and recurrence routes once per generation
-  and takes matpow's shifted chi and differences once per generation;
-  each matpow case still computes its own power (1 + y)^n mod chi(1 + y).
-  A recurrence walk that records its terms takes every step and maps no
-  block, so where a walk spans a full block of ``sequences._FOLD`` steps
-  its end case (n_max, or n_min) is read from a walk without a record,
-  which maps its full blocks.
+- crosscheck walks the prefix and recurrence routes once per generation,
+  keeping only the checked indices, and takes matpow's shifted chi and
+  differences once per generation; each matpow case still computes its
+  own power (1 + y)^n mod chi(1 + y).  The recurrence's end cases (n_max,
+  and n_min below 0) are read from ``_recurrence``, which maps the full
+  blocks of its walk, so the block maps are checked too.
 - general walks each random pair once for all its window sizes.
 
 Suites are deterministic; the one randomized suite (general) draws from a
@@ -26,12 +25,13 @@ import random
 import time
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from itertools import islice
 
 from .cassini import SecondOrderPair, _run_dets, general_cassini_walk, predicted_sign
 from .exact_linalg import _Record, char_poly, det
 from .qmatrix import build_q
-from .sequences import (_FOLD, Strategy, _chi, _power_setup, _power_terms, _prefix_row,
-                        _recurrence, sequence)
+from .sequences import (Strategy, _chi, _power_setup, _power_terms, _prefix_row, _recurrence,
+                        _walk, sequence)
 
 DEFAULT_SEED = 1729
 
@@ -91,24 +91,22 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
     # every strategy against one closed-form run per generation; each walk
     # runs once per generation, and matpow powers x once per case
     cases, failures = 0, []
+    lo, hi = max(n_min, 0), min(n_max, -1)   # the first checked n >= 0, the last n < 0
     for r in range(0, r_max + 1):
         expected = sequence(r).terms(n_min, n_max + 1)
-        prefix, forward, backward = [], [], []   # F_r(0..n_max) twice, F_r(1..n_min)
+        prefix, recurrence = [], []   # F_r(lo..n_max), F_r(n_min..n_max)
         if n_max >= 0:
-            prefix = list(_prefix_row(r, n_max))
-            forward.append(_recurrence(r, n_max, forward))
-            if n_max >= _FOLD:   # a walk with a run maps no block: check one that does
-                forward[-1] = _recurrence(r, n_max)
-        if n_min < 0:
-            backward.append(_recurrence(r, n_min, backward))
-            if 1 - n_min >= _FOLD:
-                backward[-1] = _recurrence(r, n_min)
+            prefix = list(islice(_prefix_row(r, n_max), lo, None))
+            recurrence = [*islice(_walk(r, 1), lo, n_max), _recurrence(r, n_max)]
+        if n_min < 0:   # the backward walk's W(j) is F_r(1-j)
+            backward = [*islice(_walk(r, -1), 1 - hi, 1 - n_min), _recurrence(r, n_min)]
+            recurrence = backward[::-1] + recurrence
         setup = _power_setup(r, 1)
-        for n, reference in zip(range(n_min, n_max + 1), expected):
+        for n, reference, walked in zip(range(n_min, n_max + 1), expected, recurrence):
             cases += 1
             for strat, value in (
-                (Strategy.PREFIX_SUM, prefix[n] if n >= 0 else None),
-                (Strategy.RECURRENCE, forward[n] if n >= 0 else backward[1 - n]),
+                (Strategy.PREFIX_SUM, prefix[n - lo] if n >= 0 else None),
+                (Strategy.RECURRENCE, walked),
                 (Strategy.MATRIX_POWER, _power_terms(setup, n, 1)[0]),
             ):
                 if value is not None and value != reference:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -632,8 +633,8 @@ class TestVerifyModule:
 
     @pytest.mark.parametrize("n_min, n_max, n", [(600, 610, 610), (-620, -610, -620)])
     def test_recurrence_checks_a_mapped_block(self, monkeypatch, n_min, n_max, n):
-        # a walk with a run maps no block, so a walk past one full block
-        # checks its end case by the walk that maps it
+        # the walk maps no block, so past one full block the end case is
+        # read from _recurrence, which maps it
         actual = sequences._columns
 
         def rigged(sign, r):
@@ -658,17 +659,30 @@ class TestVerifyModule:
 
             monkeypatch.setattr(verification, name, spied)
 
-        for name in ("_prefix_row", "_recurrence", "_power_setup"):
+        for name in ("_prefix_row", "_walk", "_recurrence", "_power_setup"):
             spy(name)
         [report] = verify_all(3, n_min, n_max, ["crosscheck"])
         assert not report.failures
         expected = []
         for r in range(4):
-            expected += [("_prefix_row", r, n_max)] * (n_max >= 0)
-            expected += [("_recurrence", r, n_max)] * (n_max >= 0)
-            expected += [("_recurrence", r, n_min)] * (n_min < 0)
+            expected += [("_prefix_row", r, n_max), ("_walk", r, 1),
+                         ("_recurrence", r, n_max)] * (n_max >= 0)
+            expected += [("_walk", r, -1), ("_recurrence", r, n_min)] * (n_min < 0)
             expected += [("_power_setup", r, 1)]
         assert calls == expected
+
+    @pytest.mark.parametrize("n", [30_000, -30_000])
+    def test_crosscheck_holds_the_checked_terms(self, n):
+        # one case far out: the walks keep only the checked terms, of up to
+        # about 6,300 digits, not the run from 0 (about 80 MiB forward)
+        tracemalloc.start()
+        try:
+            [report] = verify_all(1, n, n, "crosscheck")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.cases == 2 and not report.failures
+        assert peak < 16 * 2**20
 
     @given(st.integers(1, 4), st.integers(-12, 12), st.integers(0, 12),
            st.sets(st.tuples(st.integers(0, 4), st.integers(-12, 24)), max_size=8))

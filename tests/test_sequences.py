@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from hyperfib.sequences import (
     Strategy,
     _prefix_row,
     _recurrence,
+    _walk,
     fibonacci,
     hyperfib,
     sequence,
@@ -39,9 +41,8 @@ class TestFibonacci:
 
     def test_doubling_matches_recurrence(self):
         # one walk each way yields F(0..3000) and F(1..-3000)
-        forward, backward = [], []
-        forward.append(_recurrence(0, 3000, forward))
-        backward.append(_recurrence(0, -3000, backward))
+        forward = list(islice(_walk(0, 1), 3001))
+        backward = list(islice(_walk(0, -1), 3002))
         assert [fibonacci(n) for n in range(0, 3001)] == forward
         assert [fibonacci(n) for n in range(1, -3001, -1)] == backward
 
@@ -155,13 +156,13 @@ class TestIdentities:
 
 
 def _check_walks(r, n):
-    # the run _recurrence fills, then its return value, are the terms it
-    # walked: F_r(0..n) forward, F_r(1), F_r(0), ..., F_r(n) backward
-    run = []
-    value = _recurrence(r, n, run)
-    walked = sequence(r).terms(0, n + 1) if n >= 0 else sequence(r).terms(n, 2)[::-1]
-    assert run + [value] == walked
-    assert value == _recurrence(r, n)
+    # the walk's first steps + 1 terms, W(0..steps), are F_r(0..n) forward
+    # and F_r(1), F_r(0), ..., F_r(n) backward, and _recurrence is the last
+    sign, steps = (1, n) if n >= 0 else (-1, 1 - n)
+    walked = list(islice(_walk(r, sign), steps + 1))
+    assert walked == (sequence(r).terms(0, n + 1) if n >= 0
+                      else sequence(r).terms(n, 2)[::-1])
+    assert walked[-1] == _recurrence(r, n)
     if n >= 0:
         assert list(_prefix_row(r, n)) == walked
 
@@ -184,12 +185,12 @@ class TestWalks:
     )
     @pytest.mark.parametrize("r", [1, 2, 7, 16])
     def test_walks_across_folds(self, r, n):
-        # without a run the walk of n or 1 - n steps crosses blocks of 512
-        # steps, the partial one first, with one map of the big pair per full
-        # block; 512, 1024, -511 and -1023 have no partial block, 513 and
-        # -512 one of 1 step, 1535 and -1022 one of 511 steps.  The prefix
-        # sums take the n + 1 terms in blocks of 512 from 0: 511, 1023 and
-        # 1535 end on a block's edge, 512 and 1024 one term past it
+        # _recurrence crosses the n or 1 - n steps in blocks of 512, the
+        # partial one first by the walk, then one map per full block; 512,
+        # 1024, -511 and -1023 have no partial block, 513 and -512 one of 1
+        # step, 1535 and -1022 one of 511 steps.  The prefix sums take the
+        # n + 1 terms in blocks of 512 from 0: 511, 1023 and 1535 end on a
+        # block's edge, 512 and 1024 one term past it
         _check_walks(r, n)
 
     def test_prefix_row_holds_one_block(self):
@@ -204,15 +205,15 @@ class TestWalks:
         assert last == sequence(3).term(30_000)
         assert peak < 16 * 2**20
 
-    @given(st.integers(0, sequences._MAP_BELOW + 10), st.integers(-6000, 6000))
+    @given(st.integers(0, 210), st.integers(-6000, 6000))
     @settings(max_examples=60, deadline=None)
     def test_mapped_walks_are_the_terms(self, r, n):
-        # without a run the big pair crosses each full block by one map, and
-        # below the cutoff the small pair by the columns
+        # the big pair crosses each full block by one map, the small pair by
+        # the columns
         assert _recurrence(r, n) == sequence(r).term(n)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, sequences._MAP_BELOW - 1])
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 199, 200, 260])
     def test_mapped_walks_at_block_edges(self, r, sign):
         # walks of n or 1 - n steps with no partial block, one of 1 step or
         # one of 511 steps, up to 40 full blocks; backward, full blocks that
@@ -226,23 +227,6 @@ class TestWalks:
             ns |= {1 - step - _FOLD * q for step in (r - 1, r, r + 1) for q in (1, 2)}
         for n in sorted(ns):
             assert _recurrence(r, n) == seq.term(n), n
-
-    @pytest.mark.parametrize("n", [20000, -20000])
-    def test_cutoff_picks_the_path_and_both_agree(self, monkeypatch, n):
-        # the full blocks are mapped just below the cutoff and walked from it
-        # on; forced each way, both paths give the terms on both sides of it
-        cutoff = sequences._MAP_BELOW
-        rows = []
-        binomials = sequences._binomials
-        monkeypatch.setattr(sequences, "_binomials",
-                            lambda x, m: rows.append(m) or binomials(x, m))
-        for r in (cutoff - 1, cutoff):
-            expected = sequence(r).term(n)
-            for below in (cutoff, r, r + 1):   # as set, then walked, then mapped
-                monkeypatch.setattr(sequences, "_MAP_BELOW", below)
-                rows.clear()
-                assert _recurrence(r, n) == expected
-                assert bool(rows) == (r < below)
 
     def test_calls_no_closed_form(self, monkeypatch):
         expected = {n: sequence(5).term(n) for n in (3000, -3000)}
@@ -262,7 +246,7 @@ class TestWalks:
         # column i is the pair that _FOLD steps s, t = t, s + sign*(t + b_j)
         # take from (0, 0), with b_j = C(j, i) forward and C(-1-j, i) =
         # (-1)^i * C(i+j, i) backward
-        m = sequences._MAP_BELOW - 1
+        m = 199
         us, vs = sequences._columns(sign, m)
         assert len(us) == len(vs) == m
         for i in range(m):
