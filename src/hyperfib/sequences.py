@@ -35,7 +35,7 @@ C(r-j, r-1-k)).  So across a full block the small pair moves by a sum of r
 binomials C(r+j, .) or C(r-j, .) times column pairs, each one O(1) step from
 the one before, by the form F(n+2) - 1 of the sum of F(0..n), so a walk
 takes its r columns anew, no table of them is kept, and a full block costs
-O(r) products at every r.
+O(r) products at every r.  The prefix strategy is r lazy running sums of F.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_weights`` back-substitutes its weights q from
@@ -166,36 +166,33 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
 
 
 def _prefix_row(r: int, n: int) -> Iterator[int]:
-    # F_r(0..n) as r running sums of F(0..n); n >= 0.  Fibonacci goes in
-    # blocks of _FOLD terms, and each running sum of a block starts from
-    # its last value in the block before, so one block is held at a time
-    a, b = 0, 1
-    carries = [0] * r
-    for lo in range(0, n + 1, _FOLD):
-        block = []
-        for _ in range(min(_FOLD, n + 1 - lo)):
-            block.append(a)
-            a, b = b, a + b
-        for j, carry in enumerate(carries):
-            block[0] += carry
-            block = list(accumulate(block))
-            carries[j] = block[-1]
-        yield from block
+    # F_r(0..n), n >= 0, as r lazy running sums of F(0..n): r + 2 values held
+    row = islice(_plain_walk(1), 1, n + 2)
+    for _ in range(r):
+        row = accumulate(row)
+    return row
 
 
-_FOLD = 512   # steps in each block of _recurrence's walk and of _prefix_row
+def _plain_walk(sign: int) -> Iterator[int]:
+    # g(-1), g(0), ... without end: g(-1), g(0) = 1, 0, g(m+2) = g(m) +
+    # sign*g(m+1), stepped by add or sub, as a + sign*b would copy b
+    op = add if sign > 0 else sub
+    a, b = 1, 0
+    while True:
+        yield a
+        a, b = b, op(a, b)
+
+
+_FOLD = 512   # steps in each block of _recurrence's walk
 
 
 @cache
 def _plain(sign: int) -> tuple[int, int, int]:
     # g(_FOLD-1), g(_FOLD), g(_FOLD+1), with g(0), g(1) = 0, 1 and
     # g(m+2) = g(m) + sign*g(m+1): m plain steps a, b = b, a + sign*b take
-    # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); walked from
-    # g(-1), g(0) = 1, 0, so no closed form is called
-    a, b = 1, 0
-    for _ in range(_FOLD):
-        a, b = b, a + sign * b
-    return a, b, a + sign * b
+    # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); read off
+    # _plain_walk, so no closed form is called
+    return tuple(islice(_plain_walk(sign), _FOLD, _FOLD + 3))
 
 
 def _columns(sign: int, r: int) -> tuple[list[int], list[int]]:

@@ -89,7 +89,7 @@ def _suite_zero(r_max, n_min, n_max, rng):
 
 def _suite_crosscheck(r_max, n_min, n_max, rng):
     # every strategy against one closed-form run per generation; each walk
-    # runs once per generation, and matpow powers x once per case
+    # runs at most once per generation, and matpow powers x once per case
     cases, failures = 0, []
     lo, hi = max(n_min, 0), min(n_max, -1)   # the first checked n >= 0, the last n < 0
     for r in range(0, r_max + 1):
@@ -97,9 +97,11 @@ def _suite_crosscheck(r_max, n_min, n_max, rng):
         prefix, recurrence = [], []   # F_r(lo..n_max), F_r(n_min..n_max)
         if n_max >= 0:
             prefix = list(islice(_prefix_row(r, n_max), lo, None))
-            recurrence = [*islice(_walk(r, 1), lo, n_max), _recurrence(r, n_max)]
+            body = islice(_walk(r, 1), lo, n_max) if lo < n_max else ()
+            recurrence = [*body, _recurrence(r, n_max)]
         if n_min < 0:   # the backward walk's W(j) is F_r(1-j)
-            backward = [*islice(_walk(r, -1), 1 - hi, 1 - n_min), _recurrence(r, n_min)]
+            body = islice(_walk(r, -1), 1 - hi, 1 - n_min) if hi > n_min else ()
+            backward = [*body, _recurrence(r, n_min)]
             recurrence = backward[::-1] + recurrence
         setup = _power_setup(r, 1)
         for n, reference, walked in zip(range(n_min, n_max + 1), expected, recurrence):

@@ -646,8 +646,11 @@ class TestVerifyModule:
         assert report.cases == 4 * 11
         assert [f.case for f in report.failures] == [f"r={r} n={n} recurrence" for r in (1, 2, 3)]
 
-    @pytest.mark.parametrize("n_min, n_max", [(-6, 8), (3, 9), (-9, -2), (0, 0), (-1, -1)])
+    @pytest.mark.parametrize("n_min, n_max", [(-6, 8), (3, 9), (-9, -2), (0, 0), (-1, -1),
+                                              (600, 600), (-600, -600)])
     def test_walks_once_per_generation(self, monkeypatch, n_min, n_max):
+        # a walk runs only for the checked indices before an end case, so a
+        # single index is read from _recurrence alone
         calls = []
 
         def spy(name):
@@ -664,10 +667,13 @@ class TestVerifyModule:
         [report] = verify_all(3, n_min, n_max, ["crosscheck"])
         assert not report.failures
         expected = []
+        lo, hi = max(n_min, 0), min(n_max, -1)
         for r in range(4):
-            expected += [("_prefix_row", r, n_max), ("_walk", r, 1),
-                         ("_recurrence", r, n_max)] * (n_max >= 0)
-            expected += [("_walk", r, -1), ("_recurrence", r, n_min)] * (n_min < 0)
+            if n_max >= 0:
+                expected += [("_prefix_row", r, n_max), *[("_walk", r, 1)] * (lo < n_max),
+                             ("_recurrence", r, n_max)]
+            if n_min < 0:
+                expected += [*[("_walk", r, -1)] * (hi > n_min), ("_recurrence", r, n_min)]
             expected += [("_power_setup", r, 1)]
         assert calls == expected
 

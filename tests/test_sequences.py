@@ -183,19 +183,20 @@ class TestWalks:
         "n", [512, -512, 513, -513, 1024, -1025, 1535, -1537, 1500, -1500, 3000, -3000,
               -511, -1023, -1022, -1534, 511, 1023]
     )
-    @pytest.mark.parametrize("r", [1, 2, 7, 16])
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 24])
     def test_walks_across_folds(self, r, n):
         # _recurrence crosses the n or 1 - n steps in blocks of 512, the
         # partial one first by the walk, then one map per full block; 512,
         # 1024, -511 and -1023 have no partial block, 513 and -512 one of 1
-        # step, 1535 and -1022 one of 511 steps.  The prefix sums take the
-        # n + 1 terms in blocks of 512 from 0: 511, 1023 and 1535 end on a
-        # block's edge, 512 and 1024 one term past it
+        # step, 1535 and -1022 one of 511 steps.  The prefix row is held
+        # against the same walk: at r = 0 it is F(0..n) itself, and at
+        # r = 24 a chain of 24 running sums
         _check_walks(r, n)
 
-    def test_prefix_row_holds_one_block(self):
+    def test_prefix_row_holds_a_few_values(self):
         # the row F_3(0..30000) of terms up to about 6,300 digits would take
-        # about 80 MiB at once; the last value comes one block at a time
+        # about 80 MiB at once; the lazy running sums hold r + 2 = 5 values
+        # of at most about 2.6 KiB each
         tracemalloc.start()
         try:
             [last] = deque(_prefix_row(3, 30_000), maxlen=1)
@@ -203,7 +204,7 @@ class TestWalks:
         finally:
             tracemalloc.stop()
         assert last == sequence(3).term(30_000)
-        assert peak < 16 * 2**20
+        assert peak < 256 * 2**10
 
     @given(st.integers(0, 210), st.integers(-6000, 6000))
     @settings(max_examples=60, deadline=None)
@@ -234,12 +235,19 @@ class TestWalks:
         def closed_form(*args):
             raise AssertionError("the oracle called the closed form")
 
+        def recurrence(*args):
+            raise AssertionError("the prefix oracle called the recurrence route")
+
         # an empty cache, so the plain map is walked here too
         sequences._plain.cache_clear()
         monkeypatch.setattr(sequences, "_fib_pair", closed_form)
         monkeypatch.setattr(HyperfibSequence, "_seed", closed_form)
         for n, value in expected.items():
             assert _recurrence(5, n) == value
+        # the prefix route calls neither the closed form nor a generation-r walk
+        monkeypatch.setattr(sequences, "_walk", recurrence)
+        monkeypatch.setattr(sequences, "_recurrence", recurrence)
+        assert hyperfib(5, 3000, Strategy.PREFIX_SUM) == expected[3000]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_columns_are_their_definition(self, sign):
