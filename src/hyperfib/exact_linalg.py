@@ -11,8 +11,9 @@ chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
 (Cayley-Hamilton), for negative e too when a is unimodular.  One kernel
 computes p on plain coefficient lists in powers of y = x - 1, so that
 a^e = sum p_i (a - I)^i, the sum ``mat_pow`` takes.  When chi has a root
-of high multiplicity at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r
-does, all but two of the p_i stay small.  ``Polynomial`` carries the
+of multiplicity v at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r does
+with v = r, the first v of the p_i are the binomials C(e, i), and only the
+cofactor of (x - 1)^v is squared modulo.  ``Polynomial`` carries the
 result of ``char_poly`` and offers only products, powers and text.
 """
 
@@ -306,29 +307,33 @@ def _shift_chi(chi: Sequence[int]) -> tuple[list[int], list[int]]:
     if not chi or chi[-1] != 1:
         raise ValueError("remainder needs a monic divisor")
     d = _shift(chi)
-    g = d[1:]   # synthetic division by 1 + y, top down
+    return d, _over_one_plus_y(d)
+
+
+def _over_one_plus_y(d: Sequence[int]) -> list[int]:
+    # (d - d(-1)) / (1 + y), by synthetic division top down
+    g = list(d[1:])
     for j in range(len(g) - 2, -1, -1):
         g[j] -= g[j + 1]
-    return d, g
+    return g
 
 
 def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
     """p = (1 + y)^e mod d, for any integer e; (d, g) = ``_shift_chi(chi)``.
 
-    So x^e = sum p_i (x - 1)^i mod chi.  The kernel works on a list of
-    k = deg(d) coefficients.  The leading bits of e > 0 that stay below k
-    give p = sum C(m, i) y^i outright.  Each further bit squares p
-    (symmetric products, k(k+1)/2 multiplies) and reduces by d over its
-    nonzero low coefficients only, and a 1 bit multiplies by 1 + y, an O(k)
-    shift-add.  For e < 0 it divides by 1 + y instead: d = c_0 + (1 + y)g,
-    so when c_0 = chi(0) = +-1 (for chi = det(xI - a): when a is
-    unimodular) (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
-    p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
+    So x^e = sum p_i (x - 1)^i mod chi.  Write d = y^v q, with v the
+    multiplicity of the root x = 1 of chi, and split p by the Chinese
+    remainder theorem whenever v > 0 and q(0) = +-1; otherwise v = 0 and
+    q = d.  Modulo y^v, p is a = C(e, 0..v-1), each binomial one exact step
+    from the one before, for e < 0 too.  Modulo q, ``_pow_by_squaring``
+    gives b.  Then p = a + y^v t with t = (b - a) y^-v mod q: y^-1 =
+    -q(0) (q - q(0)) / y modulo q, applied once per a_i.  When e < 0 the
+    squaring needs q(-1) = +-1, which holds exactly when chi(0) = +-1,
+    since chi(0) = d(-1) = (-1)^v q(-1).
 
-    The result is exact for any chi; only the speed rests on a root at 1.
-    For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1) has two nonzero
-    low coefficients, and p mod y^r = sum_(i<r) C(e, i) y^i, so all but
-    the coefficients at y^r and y^(r+1) stay polynomial in e in size.
+    The result is exact for any chi; only the speed rests on the root at 1.
+    For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1): the squaring
+    runs modulo a degree-2 q, and the r binomials are never squared.
     """
     k = len(d) - 1
     if k == 0:
@@ -336,6 +341,39 @@ def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
     c0 = d[0] - g[0]   # chi(0), as d = chi(0) + (1 + y)g
     if e < 0 and c0 not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c0})")
+    v = 0
+    while not d[v]:   # d[k] = 1, so v <= k
+        v += 1
+    if d[v] not in (1, -1):
+        v = 0
+    q = d[v:]
+    t = _pow_by_squaring(e, q, _over_one_plus_y(q) if v else g)
+    a = [1] * v
+    for i in range(1, v):
+        a[i] = a[i - 1] * (e - i + 1) // i
+    if t:   # t = [] when q = 1, and then p = a
+        for ai in a:   # t = (t - a_i) / y mod q
+            c = q[0] * (t[0] - ai)
+            t = [x - c * qi for x, qi in zip(t[1:] + [0], q[1:])]
+    return a + t
+
+
+def _pow_by_squaring(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
+    """(1 + y)^e mod the monic d by binary powering; g = (d - d(-1)) / (1 + y).
+
+    The loop works on a list of k = deg(d) coefficients.  The leading
+    bits of e > 0 that stay below k give p = sum C(m, i) y^i outright.
+    Each further bit squares p (symmetric products, k(k+1)/2 multiplies)
+    and reduces by d over its nonzero low coefficients only, and a 1 bit
+    multiplies by 1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y
+    instead: d = c_0 + (1 + y)g, so when c_0 = d(-1) = +-1 (the caller
+    checks it) (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
+    p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
+    """
+    k = len(d) - 1
+    if k == 0:
+        return []   # d = 1, as when chi = (x - 1)^v
+    c0 = d[0] - g[0]   # d(-1)
     low = [(i, di) for i, di in enumerate(d[:k]) if di]   # y^k = -sum d_i y^i
     bits = bin(abs(e))[2:]
     lead = k.bit_length() - 1 if e > 0 else 0   # leading bits whose value m < k

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hyperfib.exact_linalg as exact_linalg
 from hyperfib.cassini import SecondOrderPair
 from hyperfib.exact_linalg import (
     IntMatrix,
@@ -18,6 +19,7 @@ from hyperfib.exact_linalg import (
     mat_pow,
 )
 from hyperfib.qmatrix import build_q, reconstruct
+from hyperfib.sequences import _chi
 from hyperfib.verify import Failure, VerifyReport
 
 Q4 = IntMatrix(4, (
@@ -484,6 +486,47 @@ class TestXPowMod:
             else:
                 with pytest.raises(ValueError, match="not unimodular"):
                     _x_pow_mod(e, chi)
+
+    @pytest.mark.parametrize("chi, modulus", [
+        # y^2 + y - 1: the cofactor of y^r for r >= 1, and all of d for r = 0
+        *((_chi(r).coeffs, [-1, 1, 1]) for r in range(0, 41)),
+        # h = x^2 - 3 has h(1) = -2: no split, the full d = y^3 (y^2 + 2y - 2)
+        ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs, [0, 0, 0, -2, 2, 1]),
+    ])
+    def test_squares_modulo_the_cofactor_of_the_root_at_one(self, monkeypatch, chi, modulus):
+        actual, moduli = exact_linalg._pow_by_squaring, []
+
+        def spied(e, d, g):
+            moduli.append(list(d))
+            return actual(e, d, g)
+
+        monkeypatch.setattr(exact_linalg, "_pow_by_squaring", spied)
+        exponents = [0, 1, 2, 7, 600, 20001] + ([-1, -600, -20001] if chi[0] in (1, -1) else [])
+        for e in exponents:
+            _y_pow_mod(e, *_shift_chi(chi))
+        assert moduli == [modulus] * len(exponents)
+
+    @given(st.lists(st.integers(-9, 9), max_size=4), st.sampled_from([1, -1]),
+           st.integers(1, 10))
+    @example([], 1, 10)            # chi = (x - 1)^10: q = 1
+    @example([-1, -1], -1, 1)      # chi = (x^2 - x - 1)(x - 1), generation 1
+    @settings(max_examples=25, deadline=None)
+    def test_root_at_one_with_a_unit_cofactor(self, low, h1, m):
+        # chi = h(x) (x - 1)^m, h monic with h(1) = h1, so the kernel takes
+        # the split; deg h = 0 leaves chi = (x - 1)^m, a power of binomials alone
+        if low:
+            low[0] = h1 - 1 - sum(low[1:])   # h(1) = sum(low) + 1
+        chi = (Polynomial((*low, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        powers = _step_powers(Polynomial((0, 1)), chi, 501)
+        for e, expected in enumerate(powers):
+            assert _x_pow_mod(e, chi) == expected, e
+        if chi[0] not in (1, -1):
+            with pytest.raises(ValueError, match="not unimodular"):
+                _x_pow_mod(-1, chi)
+            return
+        inverse = Polynomial(tuple(-chi[0] * c for c in chi[1:]))
+        for e, expected in enumerate(_step_powers(inverse, chi, 501)):
+            assert _x_pow_mod(-e, chi) == expected, -e
 
 
 def _x_minus(matrix):

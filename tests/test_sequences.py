@@ -125,6 +125,14 @@ class TestHyperfib:
                     r, n, Strategy.MATRIX_POWER
                 ), (r, n)
 
+    @pytest.mark.parametrize("r", [*range(0, 21), 40, 60])
+    def test_matpow_at_large_generation_and_index(self, r):
+        # the matpow power carries C(n, i) for i < r in every result, so the
+        # binomials are checked up to i = 59 and |n| = 20000 against the closed form
+        near = {1, 20000} | {m for j in range(15) for m in (2**j - 1, 2**j, 2**j + 1)}
+        for n in sorted(near | {-m for m in near}):
+            assert hyperfib(r, n, Strategy.MATRIX_POWER) == sequence(r).term(n), (r, n)
+
 
 class TestIdentities:
     @pytest.mark.parametrize("r", range(1, 6))
