@@ -13,8 +13,11 @@ computes p on plain coefficient lists in powers of y = x - 1, so that
 a^e = sum p_i (a - I)^i, the sum ``mat_pow`` takes.  When chi has a root
 of multiplicity v at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r does
 with v = r, the first v of the p_i are the binomials C(e, i), and only the
-cofactor of (x - 1)^v is squared modulo.  ``Polynomial`` carries the
-result of ``char_poly`` and offers only products, powers and text.
+cofactor of (x - 1)^v is squared modulo.  The split is taken once per chi.
+A cofactor of degree 2, as the hyperfibonacci one is at every r, is
+squared as a pair of ints by three products a bit.  ``Polynomial``
+carries the result of ``char_poly`` and offers only products, powers and
+text.
 """
 
 from __future__ import annotations
@@ -298,16 +301,26 @@ def char_poly(a: IntMatrix) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def _shift_chi(chi: Sequence[int]) -> tuple[list[int], list[int]]:
-    """d(y) = chi(1 + y) and g = (d - chi(0)) / (1 + y), for ``_y_pow_mod``.
+def _shift_chi(chi: Sequence[int]) -> tuple[tuple[int, int], tuple[list[int], list[int]]]:
+    """The split of d(y) = chi(1 + y) at the root x = 1, for ``_y_pow_mod``.
 
-    With chi = x*h + c_0, g(y) = h(1 + y).  Both depend on chi alone, so
-    callers that power x modulo one chi at many e shift it once.
+    Returns ((v, chi(0)), (q, g)) with d = y^v q, where v is the
+    multiplicity of the root x = 1 of chi whenever q(0) = +-1, and
+    otherwise v = 0 and q = d; g = (q - q(-1)) / (1 + y), with which
+    ``_pow_by_squaring`` steps by (1 + y)^-1 modulo q.  All of it depends
+    on chi alone, so callers that power x modulo one chi at many e split it
+    once.
     """
     if not chi or chi[-1] != 1:
         raise ValueError("remainder needs a monic divisor")
     d = _shift(chi)
-    return d, _over_one_plus_y(d)
+    v = 0
+    while not d[v]:   # d[k] = 1, so v <= k
+        v += 1
+    if d[v] not in (1, -1):
+        v = 0
+    q = d[v:]
+    return (v, chi[0]), (q, _over_one_plus_y(q))
 
 
 def _over_one_plus_y(d: Sequence[int]) -> list[int]:
@@ -318,41 +331,41 @@ def _over_one_plus_y(d: Sequence[int]) -> list[int]:
     return g
 
 
-def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
-    """p = (1 + y)^e mod d, for any integer e; (d, g) = ``_shift_chi(chi)``.
+def _y_pow_mod(e: int, root: tuple[int, int],
+               cofactor: tuple[Sequence[int], Sequence[int]]) -> list[int]:
+    """p = (1 + y)^e mod d, for any integer e; (root, cofactor) = ``_shift_chi(chi)``.
 
-    So x^e = sum p_i (x - 1)^i mod chi.  Write d = y^v q, with v the
-    multiplicity of the root x = 1 of chi, and split p by the Chinese
-    remainder theorem whenever v > 0 and q(0) = +-1; otherwise v = 0 and
-    q = d.  Modulo y^v, p is a = C(e, 0..v-1), each binomial one exact step
-    from the one before, for e < 0 too.  Modulo q, ``_pow_by_squaring``
+    So x^e = sum p_i (x - 1)^i mod chi.  With root = (v, chi(0)) and
+    cofactor = (q, g), d = y^v q, and p is split by the Chinese remainder
+    theorem.  Modulo y^v, p is a = C(e, 0..v-1), each binomial one exact
+    step from the one before, for e < 0 too.  Modulo q, ``_pow_by_squaring``
     gives b.  Then p = a + y^v t with t = (b - a) y^-v mod q: y^-1 =
-    -q(0) (q - q(0)) / y modulo q, applied once per a_i.  When e < 0 the
-    squaring needs q(-1) = +-1, which holds exactly when chi(0) = +-1,
-    since chi(0) = d(-1) = (-1)^v q(-1).
+    -q(0) (q - q(0)) / y modulo q, applied once per a_i, on two scalars
+    when q has degree 2.  When e < 0 the squaring needs q(-1) = +-1, which
+    holds exactly when chi(0) = +-1, since chi(0) = d(-1) = (-1)^v q(-1).
 
     The result is exact for any chi; only the speed rests on the root at 1.
     For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1): the squaring
-    runs modulo a degree-2 q, and the r binomials are never squared.
+    runs on the pair of coefficients modulo y^2 + y - 1, and the r
+    binomials are never squared.
     """
-    k = len(d) - 1
-    if k == 0:
-        return []   # everything is 0 mod 1
-    c0 = d[0] - g[0]   # chi(0), as d = chi(0) + (1 + y)g
+    (v, c0), (q, g) = root, cofactor
     if e < 0 and c0 not in (1, -1):
+        k = v + len(q) - 1
         raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c0})")
-    v = 0
-    while not d[v]:   # d[k] = 1, so v <= k
-        v += 1
-    if d[v] not in (1, -1):
-        v = 0
-    q = d[v:]
-    t = _pow_by_squaring(e, q, _over_one_plus_y(q) if v else g)
+    t = _pow_by_squaring(e, q, g)
     a = [1] * v
     for i in range(1, v):
         a[i] = a[i - 1] * (e - i + 1) // i
-    if t:   # t = [] when q = 1, and then p = a
-        for ai in a:   # t = (t - a_i) / y mod q
+    if len(t) == 2:   # t = (t - a_i) / y mod q, on the pair
+        t0, t1 = t
+        q0, q1 = q[0], q[1]
+        for ai in a:
+            c = q0 * (t0 - ai)
+            t0, t1 = t1 - c * q1, -c
+        t = [t0, t1]
+    elif t:   # t = [] when q = 1, and then p = a
+        for ai in a:
             c = q[0] * (t[0] - ai)
             t = [x - c * qi for x, qi in zip(t[1:] + [0], q[1:])]
     return a + t
@@ -361,16 +374,19 @@ def _y_pow_mod(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
 def _pow_by_squaring(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
     """(1 + y)^e mod the monic d by binary powering; g = (d - d(-1)) / (1 + y).
 
-    The loop works on a list of k = deg(d) coefficients.  The leading
-    bits of e > 0 that stay below k give p = sum C(m, i) y^i outright.
-    Each further bit squares p (symmetric products, k(k+1)/2 multiplies)
-    and reduces by d over its nonzero low coefficients only, and a 1 bit
-    multiplies by 1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y
-    instead: d = c_0 + (1 + y)g, so when c_0 = d(-1) = +-1 (the caller
-    checks it) (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
+    A d of degree 2 goes to ``_pow_pair``.  For any other degree k the loop
+    works on a list of k coefficients.  The leading bits of e > 0 that
+    stay below k give p = sum C(m, i) y^i outright.  Each further bit
+    squares p (symmetric products, k(k+1)/2 multiplies) and reduces by d
+    over its nonzero low coefficients only, and a 1 bit multiplies by
+    1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y instead:
+    d = c_0 + (1 + y)g, so when c_0 = d(-1) = +-1 (the caller checks it)
+    (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
     p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
     """
     k = len(d) - 1
+    if k == 2:
+        return _pow_pair(e, d[0], d[1], g[0])
     if k == 0:
         return []   # d = 1, as when chi = (x - 1)^v
     c0 = d[0] - g[0]   # d(-1)
@@ -406,6 +422,36 @@ def _pow_by_squaring(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
                 t = -c0 * (p[0] - t)
                 p = [a + t * gi for a, gi in zip(s, g)]
     return p
+
+
+def _pow_pair(e: int, d0: int, d1: int, g0: int) -> list[int]:
+    """``_pow_by_squaring`` for d = d0 + d1 y + y^2, on the pair p = p0 + p1 y.
+
+    Fiduccia's x^e mod chi (SIAM J. Comput. 14, 1985) written out for
+    degree 2, the Lucas-pair form of fast doubling.  With y^2 = -d1 y - d0,
+    a bit squares the pair by three products, s = p1^2, p0^2 - d0 s and
+    2 p0 p1 - d1 s.  A 1 bit of e > 0 steps by 1 + y: p0 - d0 p1 and
+    p0 + p1 - d1 p1.  For e < 0 it steps by (1 + y)^-1 = -c0 (g0 + y),
+    with c0 = d(-1) = +-1 and g0 = d1 - 1: p / (1 + y) = p1 + t g0 + t y,
+    where t = c0 (p1 - p0).  The leading bit of |e| is that step from 1.
+    """
+    if not e:
+        return [1, 0]
+    c0 = d0 - g0   # d(-1)
+    if e > 0:
+        p0, p1 = 1, 1
+    else:
+        p0, p1 = -c0 * g0, -c0
+    for bit in bin(abs(e))[3:]:
+        s = p1 * p1
+        p0, p1 = p0 * p0 - d0 * s, 2 * p0 * p1 - d1 * s
+        if bit == "1":
+            if e > 0:
+                p0, p1 = p0 - d0 * p1, p0 + p1 - d1 * p1
+            else:
+                t = c0 * (p1 - p0)
+                p0, p1 = p1 + t * g0, t
+    return [p0, p1]
 
 
 def _shift(c: Sequence[int]) -> list[int]:

@@ -40,8 +40,9 @@ O(r) products at every r.  The prefix strategy is r lazy running sums of F.
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_weights`` back-substitutes its weights q from
 the run at index 0, ``_power_setup`` takes that run's forward differences
-and chi = x^(r+2) - sum q_i x^(i-1) shifted to powers of y = x - 1, and
-``_power_terms`` weights the differences by (1 + y)^n mod chi(1 + y).
+and chi = x^(r+2) - sum q_i x^(i-1) shifted to powers of y = x - 1 and
+split at its root x = 1, and ``_power_terms`` weights the differences by
+(1 + y)^n mod chi(1 + y).
 ``_chi`` is the paper's form of the same polynomial, (x^2-x-1)(x-1)^r.
 The companion matrix, the Hankel windows and the verification suites all
 build on this module; it imports only ``exact_linalg``.  All arithmetic is
@@ -284,7 +285,8 @@ def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(q[1:])
 
 
-def _power_setup(r: int, count: int) -> tuple[tuple[list[int], list[int]], list[list[int]]]:
+def _power_setup(r: int, count: int) -> tuple[tuple[tuple[int, int], tuple[list[int], list[int]]],
+                                              list[list[int]]]:
     """``_shift_chi(chi)`` and the forward differences of F_r(0..max(k+1, k+count-2)).
 
     chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
@@ -303,10 +305,10 @@ def _power_setup(r: int, count: int) -> tuple[tuple[list[int], list[int]], list[
     return _shift_chi(chi), diffs
 
 
-def _power_terms(setup: tuple[tuple[list[int], list[int]], list[list[int]]], n: int,
-                 count: int) -> list[int]:
+def _power_terms(setup: tuple[tuple[tuple[int, int], tuple[list[int], list[int]]], list[list[int]]],
+                 n: int, count: int) -> list[int]:
     # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
     # count <= the count the setup was built for
-    shifted, diffs = setup
-    q = _y_pow_mod(n, *shifted)
+    split, diffs = setup
+    q = _y_pow_mod(n, *split)
     return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]

@@ -529,6 +529,67 @@ class TestXPowMod:
             assert _x_pow_mod(-e, chi) == expected, -e
 
 
+def _pair_split(d0, d1):
+    """``_shift_chi``'s split for d = d0 + d1 y + y^2 taken whole: v = 0, q = d."""
+    return (0, d0 - d1 + 1), ([d0, d1, 1], [d1 - 1, 1])   # chi(0) = d(-1)
+
+
+def _pair_oracle(d0, d1, top):
+    """(1 + y)^e mod d for 0 <= e < top, and for -top < e <= 0 when d(-1) = +-1."""
+    (_, c0), (d, g) = _pair_split(d0, d1)
+    powers = _step_powers(Polynomial((1, 1)), d, top)
+    inverses = _step_powers(Polynomial(tuple(-c0 * x for x in g)), d, top) if c0 in (1, -1) else None
+    return powers, inverses
+
+
+class TestPowPair:
+    @given(st.integers(-9, 9), st.integers(-9, 9))
+    @example(-1, 1)   # y^2 + y - 1, the Fibonacci cofactor
+    @example(0, 0)    # y^2: 1 + y has no inverse
+    @example(2, 1)    # d(-1) = 2
+    @settings(max_examples=80, deadline=None)
+    def test_matches_long_division(self, d0, d1):
+        split = _pair_split(d0, d1)
+        powers, inverses = _pair_oracle(d0, d1, 601)
+        for e, expected in enumerate(powers):
+            assert _y_pow_mod(e, *split) == expected, e
+        for e in range(1, 601):
+            if inverses is None:
+                with pytest.raises(ValueError, match=rf"^matrix is not unimodular \(det = {d0 - d1 + 1}\)$"):
+                    _y_pow_mod(-e, *split)
+            else:
+                assert _y_pow_mod(-e, *split) == inverses[e], -e
+
+    @pytest.mark.parametrize("d0, d1", [(-1, 1), (1, 3), (-4, -2), (9, 9), (-5, -5)])
+    def test_around_powers_of_two(self, d0, d1):
+        # each d(-1) = +-1; e = +-(2^j +- 1): a run of 0 bits ending in a 1, and a run of 1 bits
+        split = _pair_split(d0, d1)
+        powers, inverses = _pair_oracle(d0, d1, 2**12 + 2)
+        for j in range(13):
+            for e in {2**j - 1, 2**j + 1}:
+                assert _y_pow_mod(e, *split) == powers[e], e
+                assert _y_pow_mod(-e, *split) == inverses[e], -e
+
+    @pytest.mark.parametrize("chi, pairs", [
+        *((_chi(r).coeffs, True) for r in range(0, 41)),
+        # h(1) = -2 takes no split: the general loop runs on the degree-5 d
+        ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs, False),
+    ])
+    def test_pair_loop_runs_for_every_generation(self, monkeypatch, chi, pairs):
+        actual, calls = exact_linalg._pow_pair, []
+
+        def spied(e, d0, d1, g0):
+            calls.append((d0, d1, g0))
+            return actual(e, d0, d1, g0)
+
+        monkeypatch.setattr(exact_linalg, "_pow_pair", spied)
+        split = _shift_chi(chi)
+        exponents = [0, 1, 2, 7, 600, 20001] + ([-1, -600, -20001] if chi[0] in (1, -1) else [])
+        for e in exponents:
+            _y_pow_mod(e, *split)
+        assert calls == ([(-1, 1, 0)] * len(exponents) if pairs else [])
+
+
 def _x_minus(matrix):
     """Entries of xI - matrix, as polynomials."""
     return [
