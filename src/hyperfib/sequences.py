@@ -305,8 +305,8 @@ def _power_setup(r: int, count: int) -> tuple[tuple[tuple[int, int], tuple[list[
     return _shift_chi(chi), diffs
 
 
-def _power_terms(setup: tuple[tuple[tuple[int, int], tuple[list[int], list[int]]], list[list[int]]],
-                 n: int, count: int) -> list[int]:
+def _power_terms(setup: tuple[tuple[tuple[int, int], tuple[list[int], list[int]]],
+                              list[list[int]]], n: int, count: int) -> list[int]:
     # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
     # count <= the count the setup was built for
     split, diffs = setup
