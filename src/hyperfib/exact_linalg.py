@@ -7,24 +7,25 @@ Entries are arbitrary-precision Python ints and never touch floating point.
 Determinants use fraction-free (Bareiss) elimination whose interior
 divisions are exact; a cofactor expansion is kept as an independent oracle
 for small matrices.  Faddeev-LeVerrier gives the characteristic polynomial
-chi in exact integer steps, and a^e is p(a) with p = x^e mod chi
-(Cayley-Hamilton), for negative e too when a is unimodular.  One kernel
-computes p on plain coefficient lists in powers of y = x - 1, so that
-a^e = sum p_i (a - I)^i, the sum ``mat_pow`` takes.  When chi has a root
-of multiplicity v at 1, as the hyperfibonacci chi = (x^2-x-1)(x-1)^r does
-with v = r, the first v of the p_i are the binomials C(e, i), and only the
-cofactor of (x - 1)^v is squared modulo.  The split is taken once per chi.
-A cofactor of degree 2, as the hyperfibonacci one is at every r, is
-squared as a pair of ints by three products a bit.  ``Polynomial``
-carries the result of ``char_poly`` and offers only products, powers and
-text.
+chi in exact integer steps.  ``mat_pow`` is binary powering over
+``mat_mul``; for e < 0 its base is the inverse that Cayley-Hamilton gives
+as a polynomial in a when a is unimodular.  ``Polynomial`` carries the
+result of ``char_poly`` and offers only products, powers and text.
+
+The hyperfibonacci power kernel works on plain coefficient lists in powers
+of y = x - 1.  It computes x^e mod chi for the chi of generation r alone,
+(x^2 - x - 1)(x - 1)^r, and refuses any chi not of that shape, (x - 1)^v
+times a monic quadratic h with h(1) = +-1.  In powers of y such a chi is
+y^v q with q of degree 2: the first v coefficients of x^e are the
+binomials C(e, i), and only the pair modulo q is squared, by three
+products a bit.  The split is taken once per chi.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from operator import mul, sub
+from operator import mul
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -138,22 +139,33 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_pow(a: IntMatrix, e: int) -> IntMatrix:
-    """a**e as sum p_i (a - I)^i; e < 0 needs det(a) = +-1.
+    """a**e by binary powering over ``mat_mul``; e < 0 needs det(a) = +-1.
 
-    p = (1 + y)^e mod chi(1 + y) with chi = char_poly(a), that is x^e mod
-    chi in powers of y = x - 1.
+    For e < 0 the base is a^-1 = -c_0 (a^(n-1) + c_(n-1) a^(n-2) + ... +
+    c_1 I), by Cayley-Hamilton with char_poly(a) = x^n + ... + c_1 x + c_0,
+    taken by Horner.  c_0 = (-1)^n det(a) is its own inverse exactly when a
+    is unimodular; any other matrix is refused.
     """
     n = a.rows
-    p = _y_pow_mod(e, *_shift_chi(char_poly(a).coeffs))
-    while p and not p[-1]:   # a trailing zero would still cost a product
-        p.pop()
-    one = tuple(int(i % (n + 1) == 0) for i in range(n * n))   # I
-    y = IntMatrix(n, tuple(map(sub, a.entries, one)))          # a - I
-    total, power = [0] * (n * n), IntMatrix(n, one)
-    for i, c in enumerate(p):
-        power = mat_mul(power, y) if i else power
-        total = [t + c * x for t, x in zip(total, power.entries)]
-    return IntMatrix(n, tuple(total))
+    one = IntMatrix(n, tuple(int(i % (n + 1) == 0) for i in range(n * n)))
+    if e < 0:
+        chi = char_poly(a).coeffs
+        if chi[0] not in (1, -1):
+            raise ValueError(f"matrix is not unimodular (det = {(-1) ** n * chi[0]})")
+        inv = one
+        for c in chi[n - 1:0:-1]:
+            entries = list(mat_mul(inv, a).entries)
+            entries[::n + 1] = [x + c for x in entries[::n + 1]]   # + c I
+            inv = IntMatrix(n, entries)
+        a, e = IntMatrix(n, tuple(-chi[0] * x for x in inv.entries)), -e
+    power = one
+    while e:
+        if e & 1:
+            power = mat_mul(power, a)
+        e >>= 1
+        if e:
+            a = mat_mul(a, a)
+    return power
 
 
 _COFACTOR_MAX = 6   # the largest size the cofactor oracle expands
@@ -305,30 +317,23 @@ def _shift_chi(chi: Sequence[int]) -> tuple[tuple[int, int], tuple[list[int], li
     """The split of d(y) = chi(1 + y) at the root x = 1, for ``_y_pow_mod``.
 
     Returns ((v, chi(0)), (q, g)) with d = y^v q, where v is the
-    multiplicity of the root x = 1 of chi whenever q(0) = +-1, and
-    otherwise v = 0 and q = d; g = (q - q(-1)) / (1 + y), with which
-    ``_pow_by_squaring`` steps by (1 + y)^-1 modulo q.  All of it depends
-    on chi alone, so callers that power x modulo one chi at many e split it
-    once.
+    multiplicity of the root x = 1 of chi and q = q0 + q1 y + y^2, and g =
+    [q1 - 1, 1] = (q - q(-1)) / (1 + y), with which ``_pow_pair`` steps by
+    (1 + y)^-1 modulo q.  A chi of any other shape raises ValueError: d
+    must be y^v times a monic quadratic q with q(0) = +-1, that is chi =
+    (x - 1)^v h(x) with h monic of degree 2 and h(1) = +-1.  All of it
+    depends on chi alone, so callers that power x modulo one chi at many e
+    split it once.
     """
-    if not chi or chi[-1] != 1:
-        raise ValueError("remainder needs a monic divisor")
     d = _shift(chi)
     v = 0
-    while not d[v]:   # d[k] = 1, so v <= k
+    while v < len(d) and not d[v]:
         v += 1
-    if d[v] not in (1, -1):
-        v = 0
     q = d[v:]
-    return (v, chi[0]), (q, _over_one_plus_y(q))
-
-
-def _over_one_plus_y(d: Sequence[int]) -> list[int]:
-    # (d - d(-1)) / (1 + y), by synthetic division top down
-    g = list(d[1:])
-    for j in range(len(g) - 2, -1, -1):
-        g[j] -= g[j + 1]
-    return g
+    if len(q) != 3 or q[2] != 1 or q[0] not in (1, -1):
+        raise ValueError("the power kernel needs chi = (x - 1)^v h(x) with h monic "
+                         f"of degree 2 and h(1) = +-1, not {Polynomial(chi)}")
+    return (v, chi[0]), (q, [q[1] - 1, 1])
 
 
 def _y_pow_mod(e: int, root: tuple[int, int],
@@ -336,96 +341,32 @@ def _y_pow_mod(e: int, root: tuple[int, int],
     """p = (1 + y)^e mod d, for any integer e; (root, cofactor) = ``_shift_chi(chi)``.
 
     So x^e = sum p_i (x - 1)^i mod chi.  With root = (v, chi(0)) and
-    cofactor = (q, g), d = y^v q, and p is split by the Chinese remainder
-    theorem.  Modulo y^v, p is a = C(e, 0..v-1), each binomial one exact
-    step from the one before, for e < 0 too.  Modulo q, ``_pow_by_squaring``
-    gives b.  Then p = a + y^v t with t = (b - a) y^-v mod q: y^-1 =
-    -q(0) (q - q(0)) / y modulo q, applied once per a_i, on two scalars
-    when q has degree 2.  When e < 0 the squaring needs q(-1) = +-1, which
-    holds exactly when chi(0) = +-1, since chi(0) = d(-1) = (-1)^v q(-1).
-
-    The result is exact for any chi; only the speed rests on the root at 1.
-    For chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1): the squaring
-    runs on the pair of coefficients modulo y^2 + y - 1, and the r
+    cofactor = (q, g), d = y^v q with q of degree 2, and p is split by the
+    Chinese remainder theorem.  Modulo y^v, p is a = C(e, 0..v-1), each
+    binomial one exact step from the one before, for e < 0 too.  Modulo q,
+    ``_pow_pair`` gives the pair b.  Then p = a + y^v t with t = (b - a)
+    y^-v mod q: y^-1 = -q(0) (q1 + y) modulo q, applied once per a_i on
+    the pair.  When e < 0 the squaring needs q(-1) = +-1, which holds
+    exactly when chi(0) = +-1, since chi(0) = d(-1) = (-1)^v q(-1).  For
+    chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1), and the r
     binomials are never squared.
     """
     (v, c0), (q, g) = root, cofactor
     if e < 0 and c0 not in (1, -1):
-        k = v + len(q) - 1
-        raise ValueError(f"matrix is not unimodular (det = {(-1) ** k * c0})")
-    t = _pow_by_squaring(e, q, g)
+        raise ValueError(f"matrix is not unimodular (det = {(-1) ** v * c0})")
+    q0, q1 = q[0], q[1]
+    t0, t1 = _pow_pair(e, q0, q1, g[0])
     a = [1] * v
     for i in range(1, v):
         a[i] = a[i - 1] * (e - i + 1) // i
-    if len(t) == 2:   # t = (t - a_i) / y mod q, on the pair
-        t0, t1 = t
-        q0, q1 = q[0], q[1]
-        for ai in a:
-            c = q0 * (t0 - ai)
-            t0, t1 = t1 - c * q1, -c
-        t = [t0, t1]
-    elif t:   # t = [] when q = 1, and then p = a
-        for ai in a:
-            c = q[0] * (t[0] - ai)
-            t = [x - c * qi for x, qi in zip(t[1:] + [0], q[1:])]
-    return a + t
-
-
-def _pow_by_squaring(e: int, d: Sequence[int], g: Sequence[int]) -> list[int]:
-    """(1 + y)^e mod the monic d by binary powering; g = (d - d(-1)) / (1 + y).
-
-    A d of degree 2 goes to ``_pow_pair``.  For any other degree k the loop
-    works on a list of k coefficients.  The leading bits of e > 0 that
-    stay below k give p = sum C(m, i) y^i outright.  Each further bit
-    squares p (symmetric products, k(k+1)/2 multiplies) and reduces by d
-    over its nonzero low coefficients only, and a 1 bit multiplies by
-    1 + y, an O(k) shift-add.  For e < 0 it divides by 1 + y instead:
-    d = c_0 + (1 + y)g, so when c_0 = d(-1) = +-1 (the caller checks it)
-    (1 + y)^-1 = -c_0 * g, and p = p(-1) + (1 + y)s gives
-    p / (1 + y) = s - c_0 * p(-1) * g, also O(k).
-    """
-    k = len(d) - 1
-    if k == 2:
-        return _pow_pair(e, d[0], d[1], g[0])
-    if k == 0:
-        return []   # d = 1, as when chi = (x - 1)^v
-    c0 = d[0] - g[0]   # d(-1)
-    low = [(i, di) for i, di in enumerate(d[:k]) if di]   # y^k = -sum d_i y^i
-    bits = bin(abs(e))[2:]
-    lead = k.bit_length() - 1 if e > 0 else 0   # leading bits whose value m < k
-    m = int(bits[:lead] or "0", 2)
-    p = [1] + [0] * (k - 1)
-    for i in range(m):   # (1 + y)^m, no reduction
-        p[i + 1] = p[i] * (m - i) // (i + 1)
-    for bit in bits[lead:]:
-        sq = [0] * (2 * k - 1)
-        for i, a in enumerate(p):   # p^2 by symmetric products
-            if a:
-                sq[2 * i] += a * a
-                a2 = 2 * a
-                for j in range(i + 1, k):
-                    sq[i + j] += a2 * p[j]
-        for top in range(2 * k - 2, k - 1, -1):
-            t = sq[top]
-            if t:
-                for i, di in low:
-                    sq[top - k + i] -= t * di
-        p = sq[:k]
-        if bit == "1":
-            if e > 0:   # (1 + y) * p, then y^k = -sum d_i y^i
-                t = p[-1]
-                p = [a + b - t * di for a, b, di in zip(p, [0] + p, d)]
-            else:       # s - c_0 * p(-1) * g, where p = p(-1) + (1 + y)s
-                s, t = [0] * k, 0
-                for j in range(k - 1, 0, -1):
-                    t = s[j - 1] = p[j] - t
-                t = -c0 * (p[0] - t)
-                p = [a + t * gi for a, gi in zip(s, g)]
-    return p
+    for ai in a:   # t = (t - a_i) / y mod q
+        c = q0 * (t0 - ai)
+        t0, t1 = t1 - c * q1, -c
+    return a + [t0, t1]
 
 
 def _pow_pair(e: int, d0: int, d1: int, g0: int) -> list[int]:
-    """``_pow_by_squaring`` for d = d0 + d1 y + y^2, on the pair p = p0 + p1 y.
+    """(1 + y)^e mod d = d0 + d1 y + y^2 by binary powering on the pair p = p0 + p1 y.
 
     Fiduccia's x^e mod chi (SIAM J. Comput. 14, 1985) written out for
     degree 2, the Lucas-pair form of fast doubling.  With y^2 = -d1 y - d0,

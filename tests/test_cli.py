@@ -168,6 +168,25 @@ class TestTerm:
             edge = ["term", "--r", "8", "--n", n]
             assert run(capsys, *edge) == run(capsys, *edge, "--strategy", "prefix"), n
 
+    def test_wrong_weight_row_fails_loudly(self, capsys, monkeypatch):
+        # one weight off by one at r = 3 gives a chi of another shape, which
+        # the power kernel refuses rather than powers
+        actual = sequences._weights
+
+        def rigged(f, k):
+            q = list(actual(f, k))
+            if k == 5:
+                q[1] += 1
+            return tuple(q)
+
+        monkeypatch.setattr(sequences, "_weights", rigged)
+        with pytest.raises(ValueError, match="^the power kernel needs"):
+            hyperfib(3, 10, Strategy.MATRIX_POWER)
+        code, out, err = run(capsys, "term", "--r", "3", "--n", "10", "--strategy", "matpow")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the power kernel needs") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_default_calls_no_strategy(self, capsys, monkeypatch):
         def raising(*args):
             raise AssertionError("the default route called hyperfib")

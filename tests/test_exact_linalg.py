@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -300,6 +301,22 @@ class TestAdjugateInverse:
             assert adjugate_inverse(build_q(r).matrix).to_rows() == rows, r
 
 
+@pytest.mark.parametrize("invert", [lambda a: mat_pow(a, -1), adjugate_inverse],
+                         ids=["mat_pow", "adjugate_inverse"])
+@pytest.mark.parametrize("a, d", [
+    (IntMatrix(2, (2, 0, 0, 1)), 2),
+    (IntMatrix(2, (1, 1, 1, 1)), 0),
+    (IntMatrix(2, (1, 2, 2, 1)), -3),
+    (IntMatrix(3, (1, 1, 0, 0, 1, 1, 1, 0, 1)), 2),   # odd n: det = -chi(0)
+    (IntMatrix(3, (1, 2, 3, 4, 5, 6, 7, 8, 9)), 0),
+    (IntMatrix(3, (1, 2, 0, 3, 3, 0, 0, 0, 1)), -3),
+])
+def test_inverse_refuses_a_non_unimodular_matrix(invert, a, d):
+    assert det(a, method="cofactor") == d
+    with pytest.raises(ValueError, match=rf"^matrix is not unimodular \(det = {d}\)$"):
+        invert(a)
+
+
 class TestPolynomial:
     def test_normalization(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -430,7 +447,8 @@ class TestXPowMod:
         assert _x_pow_mod(-1, _FIB) == [-1, 1]     # x^-1 = x - 1
         assert _x_pow_mod(-10, _FIB) == [89, -55]  # F(-11), F(-10)
         assert _x_pow_mod(0, _FIB) == [1, 0]
-        assert _x_pow_mod(7, (1,)) == _x_pow_mod(-7, (1,)) == []
+        with pytest.raises(ValueError, match="^the power kernel needs"):
+            _x_pow_mod(7, (1,))
 
     def test_needs_monic_chi(self):
         with pytest.raises(ValueError, match="monic"):
@@ -439,94 +457,62 @@ class TestXPowMod:
             _x_pow_mod(3, ())
 
     def test_negative_power_needs_unit_constant_term(self):
-        with pytest.raises(ValueError, match=r"not unimodular \(det = 2\)"):
-            _x_pow_mod(-1, (2, 0, 1))
-        with pytest.raises(ValueError, match=r"not unimodular \(det = 0\)"):
-            _x_pow_mod(-3, (0, 1, 1, 1))
-        assert _x_pow_mod(3, (2, 0, 1)) == [0, -2]
+        # h(1) = +-1 takes the split, but chi(0) = 3, then 0, has no inverse
+        with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 3\)$"):
+            _x_pow_mod(-1, (3, -3, 1))      # x^2 - 3x + 3
+        with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 0\)$"):
+            _x_pow_mod(-3, (0, 2, -3, 1))   # (x^2 - 2x)(x - 1)
+        assert _x_pow_mod(3, (3, -3, 1)) == [-9, 6]
 
-    @given(st.lists(st.integers(-9, 9), max_size=6))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_long_division(self, low):
-        chi = tuple(low) + (1,)   # monic, of any degree 0..6
-        for e, expected in enumerate(_step_powers(Polynomial((0, 1)), chi, 41)):
+    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(0, 10))
+    @example(-1, -1, 10)   # (x^2 - x - 1)(x - 1)^10, generation 10
+    @example(-1, -1, 0)    # x^2 - x - 1, generation 0
+    @example(-2, 1, 3)     # h = x^2 - 2x + 2: chi(0) = -2
+    @example(0, 1, 4)      # h = x^2: chi(0) = 0
+    @settings(max_examples=40, deadline=None)
+    def test_matches_long_division(self, b, h1, m):
+        # chi = h(x) (x - 1)^m with h = x^2 + b x + c monic and h(1) = h1:
+        # every power of x for |e| <= 300 against long division.  The
+        # companion of chi has det (-1)^(m+2) chi(0) = h(0) = c
+        c = h1 - 1 - b
+        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        for e, expected in enumerate(_step_powers(Polynomial((0, 1)), chi, 301)):
             assert _x_pow_mod(e, chi) == expected, e
+        if c not in (1, -1):
+            refusal = rf"^matrix is not unimodular \(det = {c}\)$"
+            for e in range(1, 301):
+                with pytest.raises(ValueError, match=refusal):
+                    _x_pow_mod(-e, chi)
+            return
+        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))   # -c_0 (chi - c_0) / x
+        for e, expected in enumerate(_step_powers(inverse, chi, 301)):
+            assert _x_pow_mod(-e, chi) == expected, -e
 
-    @given(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), max_size=5))
-    @settings(max_examples=80, deadline=None)
-    def test_negative_powers_invert(self, c0, middle):
-        chi = (c0, *middle, 1)   # degree 1..6, chi(0) = +-1
-        inverse = Polynomial(tuple(-c0 * c for c in chi[1:]))   # -c_0 (chi - c_0) / x
-        one = _remainder([1], chi)
-        for e, expected in enumerate(_step_powers(inverse, chi, 41)):
-            power = _x_pow_mod(-e, chi)
-            assert power == expected, -e
-            product = Polynomial(power) * Polynomial(_x_pow_mod(e, chi))
-            assert _remainder(product.coeffs, chi) == one, e
-
-    @given(st.lists(st.integers(-9, 9), max_size=4), st.integers(0, 10),
-           st.lists(st.integers(-300, 300), min_size=1, max_size=4))
-    @example([], 10, [300, -300, 299, -1])   # chi = (x - 1)^10
-    @example([-1, -1], 0, [300, -300, 2])    # chi = x^2 - x - 1, chi(1) = -1
-    @settings(max_examples=60, deadline=None)
-    def test_root_at_one_of_any_multiplicity(self, low, m, exponents):
-        # chi = h(x) (x - 1)^m, h monic of degree 0..4: in powers of x - 1 the
-        # multiplicity m sets how many coefficients of x^e stay binomials
-        chi = (Polynomial((*low, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        top = max(abs(e) for e in exponents) + 1
-        powers = _step_powers(Polynomial((0, 1)), chi, top)
-        if chi[0] in (1, -1):
-            inverse = Polynomial(tuple(-chi[0] * c for c in chi[1:]))
-            inverses = _step_powers(inverse, chi, top)
-        for e in exponents:
-            if e >= 0:
-                assert _x_pow_mod(e, chi) == powers[e], e
-            elif chi[0] in (1, -1):
-                assert _x_pow_mod(e, chi) == inverses[-e], e
-            else:
-                with pytest.raises(ValueError, match="not unimodular"):
-                    _x_pow_mod(e, chi)
+    @pytest.mark.parametrize("chi, text", [
+        ((1,), "1"),
+        ((Polynomial((-1, 1)) ** 10).coeffs,
+         "x^10 - 10*x^9 + 45*x^8 - 120*x^7 + 210*x^6 - 252*x^5 + 210*x^4 - 120*x^3 "
+         "+ 45*x^2 - 10*x + 1"),
+        ((-1, -1, 0, 1), "x^3 - x - 1"),
+        ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs,
+         "x^5 - 3*x^4 + 8*x^2 - 9*x + 3"),
+        ((2, 0, 1), "x^2 + 2"),
+    ])
+    def test_refuses_any_other_chi(self, chi, text):
+        refusal = ("the power kernel needs chi = (x - 1)^v h(x) with h monic of degree 2 "
+                   f"and h(1) = +-1, not {text}")
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            _shift_chi(chi)
 
     @pytest.mark.parametrize("chi, modulus", [
         # y^2 + y - 1: the cofactor of y^r for r >= 1, and all of d for r = 0
         *((_chi(r).coeffs, [-1, 1, 1]) for r in range(0, 41)),
-        # h = x^2 - 3 has h(1) = -2: no split, the full d = y^3 (y^2 + 2y - 2)
-        ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs, [0, 0, 0, -2, 2, 1]),
+        # h = x^2 - 3x + 1 has h(1) = -1: d = y^3 (y^2 - y - 1)
+        ((Polynomial((1, -3, 1)) * Polynomial((-1, 1)) ** 3).coeffs, [-1, -1, 1]),
     ])
-    def test_squares_modulo_the_cofactor_of_the_root_at_one(self, monkeypatch, chi, modulus):
-        actual, moduli = exact_linalg._pow_by_squaring, []
-
-        def spied(e, d, g):
-            moduli.append(list(d))
-            return actual(e, d, g)
-
-        monkeypatch.setattr(exact_linalg, "_pow_by_squaring", spied)
-        exponents = [0, 1, 2, 7, 600, 20001] + ([-1, -600, -20001] if chi[0] in (1, -1) else [])
-        for e in exponents:
-            _y_pow_mod(e, *_shift_chi(chi))
-        assert moduli == [modulus] * len(exponents)
-
-    @given(st.lists(st.integers(-9, 9), max_size=4), st.sampled_from([1, -1]),
-           st.integers(1, 10))
-    @example([], 1, 10)            # chi = (x - 1)^10: q = 1
-    @example([-1, -1], -1, 1)      # chi = (x^2 - x - 1)(x - 1), generation 1
-    @settings(max_examples=25, deadline=None)
-    def test_root_at_one_with_a_unit_cofactor(self, low, h1, m):
-        # chi = h(x) (x - 1)^m, h monic with h(1) = h1, so the kernel takes
-        # the split; deg h = 0 leaves chi = (x - 1)^m, a power of binomials alone
-        if low:
-            low[0] = h1 - 1 - sum(low[1:])   # h(1) = sum(low) + 1
-        chi = (Polynomial((*low, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        powers = _step_powers(Polynomial((0, 1)), chi, 501)
-        for e, expected in enumerate(powers):
-            assert _x_pow_mod(e, chi) == expected, e
-        if chi[0] not in (1, -1):
-            with pytest.raises(ValueError, match="not unimodular"):
-                _x_pow_mod(-1, chi)
-            return
-        inverse = Polynomial(tuple(-chi[0] * c for c in chi[1:]))
-        for e, expected in enumerate(_step_powers(inverse, chi, 501)):
-            assert _x_pow_mod(-e, chi) == expected, -e
+    def test_squares_modulo_the_cofactor_of_the_root_at_one(self, chi, modulus):
+        # the split: v = deg chi - 2 binomials, and the pair modulo q
+        assert _shift_chi(chi) == ((len(chi) - 3, chi[0]), (modulus, [modulus[1] - 1, 1]))
 
 
 def _pair_split(d0, d1):
@@ -574,7 +560,7 @@ class TestPowPair:
 
     @pytest.mark.parametrize("chi, pairs", [
         *((_chi(r).coeffs, True) for r in range(0, 41)),
-        # h(1) = -2 takes no split: the general loop runs on the degree-5 d
+        # h(1) = -2: refused before any loop runs
         ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs, False),
     ])
     def test_pair_loop_runs_for_every_generation(self, monkeypatch, chi, pairs):
@@ -585,11 +571,15 @@ class TestPowPair:
             return actual(e, d0, d1, g0)
 
         monkeypatch.setattr(exact_linalg, "_pow_pair", spied)
+        if not pairs:
+            with pytest.raises(ValueError, match="^the power kernel needs"):
+                _shift_chi(chi)
+            return
         split = _shift_chi(chi)
         exponents = [0, 1, 2, 7, 600, 20001] + ([-1, -600, -20001] if chi[0] in (1, -1) else [])
         for e in exponents:
             _y_pow_mod(e, *split)
-        assert calls == ([(-1, 1, 0)] * len(exponents) if pairs else [])
+        assert calls == [(-1, 1, 0)] * len(exponents)
 
 
 def _x_minus(matrix):
