@@ -1,5 +1,6 @@
 import re
 import sys
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,6 +487,69 @@ class TestXPowMod:
             return
         inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))   # -c_0 (chi - c_0) / x
         for e, expected in enumerate(_step_powers(inverse, chi, 301)):
+            assert _x_pow_mod(-e, chi) == expected, -e
+
+    @given(st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_negative_powers_invert(self, c, h1, m):
+        # chi = h(x) (x - 1)^m with h = x^2 + b x + c, h(1) = h1 and h(0) = c
+        # = +-1, so chi(0) = +-1: x^-e is the inverse of x^e modulo chi
+        chi = (Polynomial((c, h1 - 1 - c, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))   # -c_0 (chi - c_0) / x
+        one = _remainder([1], chi)
+        for e, expected in enumerate(_step_powers(inverse, chi, 41)):
+            power = _x_pow_mod(-e, chi)
+            assert power == expected, -e
+            product = Polynomial(power) * Polynomial(_x_pow_mod(e, chi))
+            assert _remainder(product.coeffs, chi) == one, e
+
+    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(0, 10),
+           st.lists(st.integers(-300, 300), min_size=1, max_size=4))
+    @example(-1, -1, 10, [300, -300, 299, -1])   # (x^2 - x - 1)(x - 1)^10
+    @example(-1, -1, 0, [300, -300, 2])          # chi = x^2 - x - 1, chi(1) = -1
+    @settings(max_examples=60, deadline=None)
+    def test_root_at_one_of_any_multiplicity(self, b, h1, m, exponents):
+        # chi = h(x) (x - 1)^m, h = x^2 + b x + c with h(1) = h1 != 0: the
+        # split finds the multiplicity m, and m coefficients of x^e in powers
+        # of x - 1 stay binomials
+        c = h1 - 1 - b
+        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        assert _shift_chi(chi)[0] == (m, chi[0])
+        top = max(abs(e) for e in exponents) + 1
+        powers = _step_powers(Polynomial((0, 1)), chi, top)
+        if chi[0] in (1, -1):
+            inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))
+            inverses = _step_powers(inverse, chi, top)
+        for e in exponents:
+            if e >= 0:
+                assert _x_pow_mod(e, chi) == powers[e], e
+                binomials = [comb(e, i) for i in range(m)]
+                assert _y_pow_mod(e, *_shift_chi(chi))[:m] == binomials, e
+            elif chi[0] in (1, -1):
+                assert _x_pow_mod(e, chi) == inverses[-e], e
+            else:
+                with pytest.raises(ValueError, match="not unimodular"):
+                    _x_pow_mod(e, chi)
+
+    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(1, 10))
+    @example(-1, -1, 1)      # chi = (x^2 - x - 1)(x - 1), generation 1
+    @settings(max_examples=25, deadline=None)
+    def test_root_at_one_with_a_unit_cofactor(self, b, h1, m):
+        # chi = h(x) (x - 1)^m, h = x^2 + b x + c monic with h(1) = h1, so
+        # the cofactor q(y) = h(1 + y) of y^m has the unit q(0) = h1
+        c = h1 - 1 - b
+        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
+        (v, _), (q, _) = _shift_chi(chi)
+        assert (v, q) == (m, [h1, b + 2, 1])
+        powers = _step_powers(Polynomial((0, 1)), chi, 501)
+        for e, expected in enumerate(powers):
+            assert _x_pow_mod(e, chi) == expected, e
+        if chi[0] not in (1, -1):
+            with pytest.raises(ValueError, match="not unimodular"):
+                _x_pow_mod(-1, chi)
+            return
+        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))
+        for e, expected in enumerate(_step_powers(inverse, chi, 501)):
             assert _x_pow_mod(-e, chi) == expected, -e
 
     @pytest.mark.parametrize("chi, text", [
