@@ -11,14 +11,6 @@ chi in exact integer steps.  ``mat_pow`` is binary powering over
 ``mat_mul``; for e < 0 its base is the inverse that Cayley-Hamilton gives
 as a polynomial in a when a is unimodular.  ``Polynomial`` carries the
 result of ``char_poly`` and offers only products, powers and text.
-
-The hyperfibonacci power kernel works on plain coefficient lists in powers
-of y = x - 1.  It computes x^e mod chi for the chi of generation r alone,
-(x^2 - x - 1)(x - 1)^r, and refuses any chi not of that shape, (x - 1)^v
-times a monic quadratic h with h(1) = +-1.  In powers of y such a chi is
-y^v q with q of degree 2: the first v coefficients of x^e are the
-binomials C(e, i), and only the pair modulo q is squared, by three
-products a bit.  The split is taken once per chi.
 """
 
 from __future__ import annotations
@@ -311,88 +303,6 @@ def char_poly(a: IntMatrix) -> Polynomial:
                 row[i] += c
             am = [[sum(map(mul, row, col)) for col in cols] for row in am]
     return Polynomial(tuple(coeffs))
-
-
-def _shift_chi(chi: Sequence[int]) -> tuple[tuple[int, int], tuple[list[int], list[int]]]:
-    """The split of d(y) = chi(1 + y) at the root x = 1, for ``_y_pow_mod``.
-
-    Returns ((v, chi(0)), (q, g)) with d = y^v q, where v is the
-    multiplicity of the root x = 1 of chi and q = q0 + q1 y + y^2, and g =
-    [q1 - 1, 1] = (q - q(-1)) / (1 + y), with which ``_pow_pair`` steps by
-    (1 + y)^-1 modulo q.  A chi of any other shape raises ValueError: d
-    must be y^v times a monic quadratic q with q(0) = +-1, that is chi =
-    (x - 1)^v h(x) with h monic of degree 2 and h(1) = +-1.  All of it
-    depends on chi alone, so callers that power x modulo one chi at many e
-    split it once.
-    """
-    d = _shift(chi)
-    v = 0
-    while v < len(d) and not d[v]:
-        v += 1
-    q = d[v:]
-    if len(q) != 3 or q[2] != 1 or q[0] not in (1, -1):
-        raise ValueError("the power kernel needs chi = (x - 1)^v h(x) with h monic "
-                         f"of degree 2 and h(1) = +-1, not {Polynomial(chi)}")
-    return (v, chi[0]), (q, [q[1] - 1, 1])
-
-
-def _y_pow_mod(e: int, root: tuple[int, int],
-               cofactor: tuple[Sequence[int], Sequence[int]]) -> list[int]:
-    """p = (1 + y)^e mod d, for any integer e; (root, cofactor) = ``_shift_chi(chi)``.
-
-    So x^e = sum p_i (x - 1)^i mod chi.  With root = (v, chi(0)) and
-    cofactor = (q, g), d = y^v q with q of degree 2, and p is split by the
-    Chinese remainder theorem.  Modulo y^v, p is a = C(e, 0..v-1), each
-    binomial one exact step from the one before, for e < 0 too.  Modulo q,
-    ``_pow_pair`` gives the pair b.  Then p = a + y^v t with t = (b - a)
-    y^-v mod q: y^-1 = -q(0) (q1 + y) modulo q, applied once per a_i on
-    the pair.  When e < 0 the squaring needs q(-1) = +-1, which holds
-    exactly when chi(0) = +-1, since chi(0) = d(-1) = (-1)^v q(-1).  For
-    chi = (x^2 - x - 1)(x - 1)^r, d = y^r (y^2 + y - 1), and the r
-    binomials are never squared.
-    """
-    (v, c0), (q, g) = root, cofactor
-    if e < 0 and c0 not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det = {(-1) ** v * c0})")
-    q0, q1 = q[0], q[1]
-    t0, t1 = _pow_pair(e, q0, q1, g[0])
-    a = [1] * v
-    for i in range(1, v):
-        a[i] = a[i - 1] * (e - i + 1) // i
-    for ai in a:   # t = (t - a_i) / y mod q
-        c = q0 * (t0 - ai)
-        t0, t1 = t1 - c * q1, -c
-    return a + [t0, t1]
-
-
-def _pow_pair(e: int, d0: int, d1: int, g0: int) -> list[int]:
-    """(1 + y)^e mod d = d0 + d1 y + y^2 by binary powering on the pair p = p0 + p1 y.
-
-    Fiduccia's x^e mod chi (SIAM J. Comput. 14, 1985) written out for
-    degree 2, the Lucas-pair form of fast doubling.  With y^2 = -d1 y - d0,
-    a bit squares the pair by three products, s = p1^2, p0^2 - d0 s and
-    2 p0 p1 - d1 s.  A 1 bit of e > 0 steps by 1 + y: p0 - d0 p1 and
-    p0 + p1 - d1 p1.  For e < 0 it steps by (1 + y)^-1 = -c0 (g0 + y),
-    with c0 = d(-1) = +-1 and g0 = d1 - 1: p / (1 + y) = p1 + t g0 + t y,
-    where t = c0 (p1 - p0).  The leading bit of |e| is that step from 1.
-    """
-    if not e:
-        return [1, 0]
-    c0 = d0 - g0   # d(-1)
-    if e > 0:
-        p0, p1 = 1, 1
-    else:
-        p0, p1 = -c0 * g0, -c0
-    for bit in bin(abs(e))[3:]:
-        s = p1 * p1
-        p0, p1 = p0 * p0 - d0 * s, 2 * p0 * p1 - d1 * s
-        if bit == "1":
-            if e > 0:
-                p0, p1 = p0 - d0 * p1, p0 + p1 - d1 * p1
-            else:
-                t = c0 * (p1 - p0)
-                p0, p1 = p1 + t * g0, t
-    return [p0, p1]
 
 
 def _shift(c: Sequence[int]) -> list[int]:

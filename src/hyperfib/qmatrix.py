@@ -12,7 +12,8 @@ independent cross-check, and the last three weights also have closed
 forms.  Powers Q^n, as sums of powers of Q - I (x^n mod the characteristic
 polynomial, in powers of x - 1), give the windows at any index n:
 ``reconstruct`` reads them through the matpow term route of ``sequences``,
-which holds the weights, the differences they weight and the power itself.
+which holds the weights, the check that they give the paper's
+characteristic polynomial, the differences they weight and the power itself.
 """
 
 from __future__ import annotations
@@ -66,11 +67,12 @@ def q_closed_tail(r: int) -> tuple[int, int, int]:
 def reconstruct(r: int, n: int) -> IntMatrix:
     """The (r+2)-window at index n, as Q^n times the window at 0.
 
-    Q^n = sum q_i (Q - I)^i, q = (1 + y)^n mod chi(1 + y) with
-    chi = det(xI - Q) (C. M. Fiduccia, SIAM J. Comput. 14, 1985), and
-    (Q - I)^i times the window at 0 is the window of the i-th forward
-    differences, so only Q's weights and the run F_r(0..3r+3) are read.
-    Negative n works because the weight q_1 = +-1 makes Q unimodular.
+    Q's weights are checked to give the paper's chi,
+    (x^2 - x - 1)(x - 1)^r, so Q^n = sum p_i (Q - I)^i with
+    p = (1 + y)^n mod chi(1 + y) (C. M. Fiduccia, SIAM J. Comput. 14,
+    1985).  (Q - I)^i times the window at 0 is the window of the i-th
+    forward differences, so only Q's weights and the run F_r(0..3r+3) are
+    read.  Negative n works because chi(0) = (-1)^(r+1) makes Q unimodular.
     """
     k = r + 2
     return hankel(_power_terms(_power_setup(r, 2 * k - 1), n, 2 * k - 1), k)

@@ -39,10 +39,11 @@ O(r) products at every r.  The prefix strategy is r lazy running sums of F.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_weights`` back-substitutes its weights q from
-the run at index 0, ``_power_setup`` takes that run's forward differences
-and chi = x^(r+2) - sum q_i x^(i-1) shifted to powers of y = x - 1 and
-split at its root x = 1, and ``_power_terms`` weights the differences by
-(1 + y)^n mod chi(1 + y).
+the run at index 0, ``_power_setup`` checks that they give the paper's chi
+and takes that run's forward differences, and ``_power_terms`` weights the
+differences by p = (1 + y)^n mod chi(1 + y), y = x - 1.  In powers of y,
+chi is y^r (y^2 + y - 1), so ``_y_pow`` joins the binomials C(n, 0..r-1)
+to the Fibonacci pair F(n+1) + F(n) y by the Chinese remainder theorem.
 ``_chi`` is the paper's form of the same polynomial, (x^2-x-1)(x-1)^r.
 The companion matrix, the Hankel windows and the verification suites all
 build on this module; it imports only ``exact_linalg``.  All arithmetic is
@@ -58,7 +59,7 @@ from functools import cache
 from itertools import accumulate, count, islice
 from operator import add, mul, sub
 
-from .exact_linalg import Polynomial, _shift_chi, _y_pow_mod
+from .exact_linalg import Polynomial, _shift
 
 
 class Strategy(Enum):
@@ -285,30 +286,48 @@ def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(q[1:])
 
 
-def _power_setup(r: int, count: int) -> tuple[tuple[tuple[int, int], tuple[list[int], list[int]]],
-                                              list[list[int]]]:
-    """``_shift_chi(chi)`` and the forward differences of F_r(0..max(k+1, k+count-2)).
+def _power_setup(r: int, count: int) -> list[list[int]]:
+    """The forward differences of F_r(0..max(k+1, k+count-2)), k = r+2.
 
-    chi = x^k - sum q_i x^(i-1), k = r+2, and row i of the differences is
-    Delta^i F_r(j), i < k, for j < count at least.  Both depend on r and
-    count alone, so callers that power one generation at many n compute
-    them once.  The weights come from the run itself: the closed form is
-    seeded only at 0.
+    Row i is Delta^i F_r(j), i < k, for j < count at least.  The weights q
+    are back-substituted from the run itself (the closed form is seeded only
+    at 0), and chi = x^k - sum q_i x^(i-1) must be the paper's, that is
+    y^r (y^2 + y - 1) in powers of y = x - 1; any other weight row raises
+    ValueError.  All of it depends on r and count alone, so callers that
+    power one generation at many n compute it once.
     """
     k = r + 2
     run = sequence(r).terms(0, max(k + 2, k + count - 1))
     chi = tuple(-x for x in _weights(run, k)) + (1,)
+    if _shift(chi) != [0] * r + [-1, 1, 1]:
+        raise ValueError("the power kernel needs chi = (x^2 - x - 1)(x - 1)^r, "
+                         f"not {Polynomial(chi)}")
     diffs = [run]
     for _ in range(k - 1):
         run = list(map(sub, run[1:], run))
         diffs.append(run)
-    return _shift_chi(chi), diffs
+    return diffs
 
 
-def _power_terms(setup: tuple[tuple[tuple[int, int], tuple[list[int], list[int]]],
-                              list[list[int]]], n: int, count: int) -> list[int]:
-    # F_r(n..n+count-1) as sum q_i Delta^i F_r(j), q = (1 + y)^n mod chi(1 + y);
-    # count <= the count the setup was built for
-    split, diffs = setup
-    q = _y_pow_mod(n, *split)
-    return [sum(c * row[j] for c, row in zip(q, diffs)) for j in range(count)]
+def _y_pow(e: int, r: int) -> list[int]:
+    """(1 + y)^e mod y^r (y^2 + y - 1), for any integer e.
+
+    So x^e = sum p_i (x - 1)^i modulo the chi of generation r.  p is joined
+    by the Chinese remainder theorem from its remainder modulo y^r, the
+    binomials a = C(e, 0..r-1), and its remainder modulo y^2 + y - 1, which
+    is x^e mod x^2 - x - 1, the Fibonacci pair F(e+1) + F(e) y: p = a +
+    y^r t with t = (pair - a) / y^r, and 1 / y = 1 + y modulo y^2 + y - 1,
+    so each a_i takes one step t = (t - a_i)(1 + y).
+    """
+    t1, t0 = _fib_pair(e)
+    a = _binomials(e, r)
+    for ai in a:
+        t0, t1 = t0 + t1 - ai, t0 - ai
+    return a + [t0, t1]
+
+
+def _power_terms(diffs: list[list[int]], n: int, count: int) -> list[int]:
+    # F_r(n..n+count-1) as sum p_i Delta^i F_r(j), p = (1 + y)^n mod chi(1 + y);
+    # diffs = _power_setup(r, c) for some c >= count
+    p = _y_pow(n, len(diffs) - 2)
+    return [sum(c * row[j] for c, row in zip(p, diffs)) for j in range(count)]

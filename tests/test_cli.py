@@ -15,7 +15,7 @@ import hyperfib.sequences as sequences
 import hyperfib.verify as verification
 from hyperfib.cassini import build_window, hankel, predicted_sign
 from hyperfib.cli import main
-from hyperfib.exact_linalg import IntMatrix, det
+from hyperfib.exact_linalg import IntMatrix, Polynomial, det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
 
@@ -178,6 +178,25 @@ class TestTerm:
             if k == 5:
                 q[1] += 1
             return tuple(q)
+
+        monkeypatch.setattr(sequences, "_weights", rigged)
+        with pytest.raises(ValueError, match="^the power kernel needs"):
+            hyperfib(3, 10, Strategy.MATRIX_POWER)
+        code, out, err = run(capsys, "term", "--r", "3", "--n", "10", "--strategy", "matpow")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the power kernel needs") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_weight_row_of_the_right_shape_fails_loudly(self, capsys, monkeypatch):
+        # weights giving chi = (x^2 - 3x + 1)(x - 1)^3 = y^3 (y^2 - y - 1) at
+        # r = 3: the root x = 1 has the right multiplicity and its cofactor
+        # a unit at 0, but chi is not the paper's, so the power is refused
+        # rather than taken (it would give 3690, where the term is 894)
+        chi = (Polynomial((1, -3, 1)) * Polynomial((-1, 1)) ** 3).coeffs
+        actual = sequences._weights
+
+        def rigged(f, k):
+            return tuple(-c for c in chi[:-1]) if k == 5 else actual(f, k)
 
         monkeypatch.setattr(sequences, "_weights", rigged)
         with pytest.raises(ValueError, match="^the power kernel needs"):
@@ -639,13 +658,13 @@ class TestVerifyModule:
 
     def test_one_power_per_matpow_case(self, monkeypatch):
         # every matpow case is an independent power of 1 + y mod chi(1 + y)
-        actual, powers = sequences._y_pow_mod, []
+        actual, powers = sequences._y_pow, []
 
-        def counted(e, d, g):
+        def counted(e, r):
             powers.append(e)
-            return actual(e, d, g)
+            return actual(e, r)
 
-        monkeypatch.setattr(sequences, "_y_pow_mod", counted)
+        monkeypatch.setattr(sequences, "_y_pow", counted)
         [report] = verify_all(3, -6, 8, ["crosscheck"])
         assert not report.failures and report.cases == 4 * 15
         assert powers == list(range(-6, 9)) * 4

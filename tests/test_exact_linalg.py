@@ -1,3 +1,4 @@
+import hashlib
 import re
 import sys
 from math import comb
@@ -6,13 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import hyperfib.exact_linalg as exact_linalg
+import hyperfib.sequences as sequences
 from hyperfib.cassini import SecondOrderPair
 from hyperfib.exact_linalg import (
     IntMatrix,
     Polynomial,
-    _shift_chi,
-    _y_pow_mod,
     adjugate_inverse,
     char_poly,
     det,
@@ -21,7 +20,7 @@ from hyperfib.exact_linalg import (
     mat_pow,
 )
 from hyperfib.qmatrix import build_q, reconstruct
-from hyperfib.sequences import _chi
+from hyperfib.sequences import Strategy, _chi, _power_setup, _y_pow, hyperfib
 from hyperfib.verify import Failure, VerifyReport
 
 Q4 = IntMatrix(4, (
@@ -414,9 +413,9 @@ def _shift(c, s):
     return a
 
 
-def _x_pow_mod(e, chi):
-    """x^e mod the monic chi in powers of x: the kernel ``_y_pow_mod``, shifted back."""
-    return _shift(_y_pow_mod(e, *_shift_chi(chi)), -1)
+def _x_pow_mod(e, r):
+    """x^e mod the chi of generation r in powers of x: the kernel ``_y_pow``, shifted back."""
+    return _shift(_y_pow(e, r), -1)
 
 
 def _remainder(coeffs, chi):
@@ -438,119 +437,121 @@ def _step_powers(step, chi, count):
     return powers
 
 
-_FIB = (-1, -1, 1)   # x^2 - x - 1
+def _inverse_powers(chi, count):
+    """x^0..x^-(count-1) mod chi, for chi(0) = +-1: each step subtracts
+    p(0) chi / chi(0) from p, which leaves a multiple of x, and divides by x."""
+    powers = [_remainder([1], chi)]
+    while len(powers) < count:
+        p = powers[-1]
+        t = p[0] * chi[0]
+        powers.append([a - t * c for a, c in zip(p[1:] + [0], chi[1:])])
+    return powers
+
+
+def _near_powers_of_two(step, back, chi):
+    """{e: step^e mod chi} at e = 2^j +- 1, j <= 12, with back = step^-1 mod chi.
+
+    step^(2^j) takes j squarings, each product reduced by long division:
+    2^j + 1 is a run of 0 bits ending in a 1, and 2^j - 1 a run of 1 bits.
+    """
+    powers, power = {}, _remainder(step.coeffs, chi)
+    for j in range(13):
+        if j:
+            power = _remainder((Polynomial(power) * Polynomial(power)).coeffs, chi)
+        for e, factor in ((2**j - 1, back), (2**j + 1, step)):
+            powers[e] = _remainder((Polynomial(power) * factor).coeffs, chi)
+    return powers
+
+
+def _inverse(chi):
+    """x^-1 mod chi, -c_0 (chi - c_0) / x, for chi(0) = c_0 = +-1."""
+    return Polynomial(tuple(-chi[0] * x for x in chi[1:]))
+
+
+def _comb(e, i):
+    """C(e, i) for any integer e, with C(e, i) = (-1)^i C(i - e - 1, i) for e < 0."""
+    return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
+
+
+def _rig_weights(monkeypatch, chi):
+    """Make ``sequences._weights`` give the weight row of the monic chi at every r."""
+    monkeypatch.setattr(sequences, "_weights", lambda f, k: tuple(-c for c in chi[:-1]))
+
+
+_GENERATIONS = [*range(41), 60]
+_EXPONENTS = [*range(-300, 301),
+              *(s * (2**j + d) for j in range(13) for d in (-1, 1) for s in (1, -1)),
+              *(s * (10**5 + j) for j in range(-3, 4) for s in (1, -1))]
+_PAPER_CHI = [_chi(r).coeffs for r in range(41)]
 
 
 class TestXPowMod:
-    def test_worked_powers(self):
-        assert _x_pow_mod(4, _FIB) == [2, 3]       # x^4 = 3x + 2
-        assert _x_pow_mod(10, _FIB) == [34, 55]    # F(9), F(10)
-        assert _x_pow_mod(-1, _FIB) == [-1, 1]     # x^-1 = x - 1
-        assert _x_pow_mod(-10, _FIB) == [89, -55]  # F(-11), F(-10)
-        assert _x_pow_mod(0, _FIB) == [1, 0]
-        with pytest.raises(ValueError, match="^the power kernel needs"):
-            _x_pow_mod(7, (1,))
+    """``sequences._y_pow``: x^e mod the chi of generation r, (x^2 - x - 1)(x - 1)^r."""
 
-    def test_needs_monic_chi(self):
-        with pytest.raises(ValueError, match="monic"):
-            _x_pow_mod(3, (1, 2))
-        with pytest.raises(ValueError, match="monic"):
-            _x_pow_mod(3, ())
+    def test_worked_powers(self):
+        assert _x_pow_mod(4, 0) == [2, 3]       # x^4 = 3x + 2
+        assert _x_pow_mod(10, 0) == [34, 55]    # F(9), F(10)
+        assert _x_pow_mod(-1, 0) == [-1, 1]     # x^-1 = x - 1
+        assert _x_pow_mod(-10, 0) == [89, -55]  # F(-11), F(-10)
+        assert _x_pow_mod(0, 0) == [1, 0]
+        assert _x_pow_mod(3, 1) == [-1, 0, 2]   # x^3 = 2x^2 - 1 mod x^3 - 2x^2 + 1
+        assert _y_pow(-1, 0) == [0, 1]          # (1 + y)^-1 = y mod y^2 + y - 1
 
     def test_negative_power_needs_unit_constant_term(self):
-        # h(1) = +-1 takes the split, but chi(0) = 3, then 0, has no inverse
-        with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 3\)$"):
-            _x_pow_mod(-1, (3, -3, 1))      # x^2 - 3x + 3
-        with pytest.raises(ValueError, match=r"^matrix is not unimodular \(det = 0\)$"):
-            _x_pow_mod(-3, (0, 2, -3, 1))   # (x^2 - 2x)(x - 1)
-        assert _x_pow_mod(3, (3, -3, 1)) == [-9, 6]
+        # chi(0) = (-1)^(r+1) at every r, so x is a unit modulo chi and no
+        # negative power needs a refusal
+        for r in range(61):
+            chi = _chi(r).coeffs
+            assert chi[0] == (-1) ** (r + 1), r
+            assert _x_pow_mod(-1, r) == _remainder(_inverse(chi).coeffs, chi), r
 
-    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(0, 10))
-    @example(-1, -1, 10)   # (x^2 - x - 1)(x - 1)^10, generation 10
-    @example(-1, -1, 0)    # x^2 - x - 1, generation 0
-    @example(-2, 1, 3)     # h = x^2 - 2x + 2: chi(0) = -2
-    @example(0, 1, 4)      # h = x^2: chi(0) = 0
+    def test_matches_long_division(self):
+        # every e in -300..300, and e = +-(2^j +- 1) for j <= 12
+        x = Polynomial((0, 1))
+        for r in _GENERATIONS:
+            chi = _chi(r).coeffs
+            inverse = _inverse(chi)
+            for e, expected in enumerate(_step_powers(x, chi, 301)):
+                assert _x_pow_mod(e, r) == expected, (r, e)
+            for e, expected in enumerate(_inverse_powers(chi, 301)):
+                assert _x_pow_mod(-e, r) == expected, (r, -e)
+            for e, expected in _near_powers_of_two(x, inverse, chi).items():
+                assert _x_pow_mod(e, r) == expected, (r, e)
+            for e, expected in _near_powers_of_two(inverse, x, chi).items():
+                assert _x_pow_mod(-e, r) == expected, (r, -e)
+
+    def test_far_powers_are_unchanged(self):
+        # e = +-(10^5 + j), j = -3..3: the sha256 of the hex coefficients
+        # that the earlier kernel gave, which split any chi = (x - 1)^v h(x)
+        # and squared the pair modulo h(1 + y)
+        powers = [_y_pow(s * (10**5 + j), r)
+                  for r in _GENERATIONS for j in range(-3, 4) for s in (1, -1)]
+        text = ";".join(",".join(map(hex, p)) for p in powers)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ddf168f9c945de30743c9033f82eaccc3684b212fffe2af97811e936dfbdef2d")
+
+    @given(st.integers(0, 20), st.integers(0, 10**4))
+    @example(0, 10**4)
+    @example(16, 1)
     @settings(max_examples=40, deadline=None)
-    def test_matches_long_division(self, b, h1, m):
-        # chi = h(x) (x - 1)^m with h = x^2 + b x + c monic and h(1) = h1:
-        # every power of x for |e| <= 300 against long division.  The
-        # companion of chi has det (-1)^(m+2) chi(0) = h(0) = c
-        c = h1 - 1 - b
-        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        for e, expected in enumerate(_step_powers(Polynomial((0, 1)), chi, 301)):
-            assert _x_pow_mod(e, chi) == expected, e
-        if c not in (1, -1):
-            refusal = rf"^matrix is not unimodular \(det = {c}\)$"
-            for e in range(1, 301):
-                with pytest.raises(ValueError, match=refusal):
-                    _x_pow_mod(-e, chi)
-            return
-        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))   # -c_0 (chi - c_0) / x
-        for e, expected in enumerate(_step_powers(inverse, chi, 301)):
-            assert _x_pow_mod(-e, chi) == expected, -e
+    def test_negative_powers_invert(self, r, e):
+        # x^-e is the inverse of x^e modulo chi: their product is 1
+        chi = _chi(r).coeffs
+        product = Polynomial(_x_pow_mod(-e, r)) * Polynomial(_x_pow_mod(e, r))
+        assert _remainder(product.coeffs, chi) == _remainder([1], chi)
 
-    @given(st.sampled_from([1, -1]), st.sampled_from([1, -1]), st.integers(0, 6))
-    @settings(max_examples=80, deadline=None)
-    def test_negative_powers_invert(self, c, h1, m):
-        # chi = h(x) (x - 1)^m with h = x^2 + b x + c, h(1) = h1 and h(0) = c
-        # = +-1, so chi(0) = +-1: x^-e is the inverse of x^e modulo chi
-        chi = (Polynomial((c, h1 - 1 - c, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))   # -c_0 (chi - c_0) / x
-        one = _remainder([1], chi)
-        for e, expected in enumerate(_step_powers(inverse, chi, 41)):
-            power = _x_pow_mod(-e, chi)
-            assert power == expected, -e
-            product = Polynomial(power) * Polynomial(_x_pow_mod(e, chi))
-            assert _remainder(product.coeffs, chi) == one, e
+    def test_root_at_one_of_any_multiplicity(self):
+        # x = 1 is a root of chi of multiplicity r, so modulo y^r the power
+        # is the binomials C(e, 0..r-1), for e < 0 too
+        for r in _GENERATIONS:
+            for e in _EXPONENTS:
+                assert _y_pow(e, r)[:r] == [_comb(e, i) for i in range(r)], (r, e)
 
-    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(0, 10),
-           st.lists(st.integers(-300, 300), min_size=1, max_size=4))
-    @example(-1, -1, 10, [300, -300, 299, -1])   # (x^2 - x - 1)(x - 1)^10
-    @example(-1, -1, 0, [300, -300, 2])          # chi = x^2 - x - 1, chi(1) = -1
-    @settings(max_examples=60, deadline=None)
-    def test_root_at_one_of_any_multiplicity(self, b, h1, m, exponents):
-        # chi = h(x) (x - 1)^m, h = x^2 + b x + c with h(1) = h1 != 0: the
-        # split finds the multiplicity m, and m coefficients of x^e in powers
-        # of x - 1 stay binomials
-        c = h1 - 1 - b
-        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        assert _shift_chi(chi)[0] == (m, chi[0])
-        top = max(abs(e) for e in exponents) + 1
-        powers = _step_powers(Polynomial((0, 1)), chi, top)
-        if chi[0] in (1, -1):
-            inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))
-            inverses = _step_powers(inverse, chi, top)
-        for e in exponents:
-            if e >= 0:
-                assert _x_pow_mod(e, chi) == powers[e], e
-                binomials = [comb(e, i) for i in range(m)]
-                assert _y_pow_mod(e, *_shift_chi(chi))[:m] == binomials, e
-            elif chi[0] in (1, -1):
-                assert _x_pow_mod(e, chi) == inverses[-e], e
-            else:
-                with pytest.raises(ValueError, match="not unimodular"):
-                    _x_pow_mod(e, chi)
-
-    @given(st.integers(-9, 9), st.sampled_from([1, -1]), st.integers(1, 10))
-    @example(-1, -1, 1)      # chi = (x^2 - x - 1)(x - 1), generation 1
-    @settings(max_examples=25, deadline=None)
-    def test_root_at_one_with_a_unit_cofactor(self, b, h1, m):
-        # chi = h(x) (x - 1)^m, h = x^2 + b x + c monic with h(1) = h1, so
-        # the cofactor q(y) = h(1 + y) of y^m has the unit q(0) = h1
-        c = h1 - 1 - b
-        chi = (Polynomial((c, b, 1)) * Polynomial((-1, 1)) ** m).coeffs
-        (v, _), (q, _) = _shift_chi(chi)
-        assert (v, q) == (m, [h1, b + 2, 1])
-        powers = _step_powers(Polynomial((0, 1)), chi, 501)
-        for e, expected in enumerate(powers):
-            assert _x_pow_mod(e, chi) == expected, e
-        if chi[0] not in (1, -1):
-            with pytest.raises(ValueError, match="not unimodular"):
-                _x_pow_mod(-1, chi)
-            return
-        inverse = Polynomial(tuple(-chi[0] * x for x in chi[1:]))
-        for e, expected in enumerate(_step_powers(inverse, chi, 501)):
-            assert _x_pow_mod(-e, chi) == expected, -e
+    def test_root_at_one_with_a_unit_cofactor(self):
+        # in powers of y = x - 1, chi is y^r (y^2 + y - 1): the cofactor of
+        # the root x = 1 has the unit q(0) = -1 at every r
+        for r in range(61):
+            assert _shift(_chi(r).coeffs, 1) == [0] * r + [-1, 1, 1], r
 
     @pytest.mark.parametrize("chi, text", [
         ((1,), "1"),
@@ -562,88 +563,80 @@ class TestXPowMod:
          "x^5 - 3*x^4 + 8*x^2 - 9*x + 3"),
         ((2, 0, 1), "x^2 + 2"),
     ])
-    def test_refuses_any_other_chi(self, chi, text):
-        refusal = ("the power kernel needs chi = (x - 1)^v h(x) with h monic of degree 2 "
-                   f"and h(1) = +-1, not {text}")
+    def test_refuses_any_other_chi(self, monkeypatch, chi, text):
+        # a weight row whose chi is not the paper's is refused with its
+        # text; chi = 1 is an empty row at r = 0, of the wrong length
+        _rig_weights(monkeypatch, chi)
+        refusal = f"the power kernel needs chi = (x^2 - x - 1)(x - 1)^r, not {text}"
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-            _shift_chi(chi)
+            _power_setup(max(len(chi) - 3, 0), 1)
 
     @pytest.mark.parametrize("chi, modulus", [
         # y^2 + y - 1: the cofactor of y^r for r >= 1, and all of d for r = 0
-        *((_chi(r).coeffs, [-1, 1, 1]) for r in range(0, 41)),
+        *((chi, [-1, 1, 1]) for chi in _PAPER_CHI),
         # h = x^2 - 3x + 1 has h(1) = -1: d = y^3 (y^2 - y - 1)
         ((Polynomial((1, -3, 1)) * Polynomial((-1, 1)) ** 3).coeffs, [-1, -1, 1]),
     ])
-    def test_squares_modulo_the_cofactor_of_the_root_at_one(self, chi, modulus):
-        # the split: v = deg chi - 2 binomials, and the pair modulo q
-        assert _shift_chi(chi) == ((len(chi) - 3, chi[0]), (modulus, [modulus[1] - 1, 1]))
-
-
-def _pair_split(d0, d1):
-    """``_shift_chi``'s split for d = d0 + d1 y + y^2 taken whole: v = 0, q = d."""
-    return (0, d0 - d1 + 1), ([d0, d1, 1], [d1 - 1, 1])   # chi(0) = d(-1)
-
-
-def _pair_oracle(d0, d1, top):
-    """(1 + y)^e mod d for 0 <= e < top, and for -top < e <= 0 when d(-1) = +-1."""
-    (_, c0), (d, g) = _pair_split(d0, d1)
-    powers = _step_powers(Polynomial((1, 1)), d, top)
-    if c0 not in (1, -1):
-        return powers, None
-    return powers, _step_powers(Polynomial(tuple(-c0 * x for x in g)), d, top)
+    def test_squares_modulo_the_cofactor_of_the_root_at_one(self, monkeypatch, chi, modulus):
+        # every d = chi(1 + y) here is y^r q, q monic of degree 2 with q(0) =
+        # -1, but only the Fibonacci cofactor q = y^2 + y - 1 is the paper's
+        r = len(chi) - 3
+        assert _shift(chi, 1) == [0] * r + modulus
+        _rig_weights(monkeypatch, chi)
+        if modulus == [-1, 1, 1]:
+            assert len(_power_setup(r, 1)) == r + 2
+        else:
+            with pytest.raises(ValueError, match="^the power kernel needs"):
+                _power_setup(r, 1)
 
 
 class TestPowPair:
-    @given(st.integers(-9, 9), st.integers(-9, 9))
-    @example(-1, 1)   # y^2 + y - 1, the Fibonacci cofactor
-    @example(0, 0)    # y^2: 1 + y has no inverse
-    @example(2, 1)    # d(-1) = 2
-    @settings(max_examples=80, deadline=None)
-    def test_matches_long_division(self, d0, d1):
-        split = _pair_split(d0, d1)
-        powers, inverses = _pair_oracle(d0, d1, 601)
-        for e, expected in enumerate(powers):
-            assert _y_pow_mod(e, *split) == expected, e
-        for e in range(1, 601):
-            if inverses is None:
-                refusal = rf"^matrix is not unimodular \(det = {d0 - d1 + 1}\)$"
-                with pytest.raises(ValueError, match=refusal):
-                    _y_pow_mod(-e, *split)
-            else:
-                assert _y_pow_mod(-e, *split) == inverses[e], -e
+    """(1 + y)^e mod y^2 + y - 1 is the Fibonacci pair F(e+1) + F(e) y."""
 
-    @pytest.mark.parametrize("d0, d1", [(-1, 1), (1, 3), (-4, -2), (9, 9), (-5, -5)])
-    def test_around_powers_of_two(self, d0, d1):
-        # each d(-1) = +-1; e = +-(2^j +- 1): a run of 0 bits ending in a 1, and a run of 1 bits
-        split = _pair_split(d0, d1)
-        powers, inverses = _pair_oracle(d0, d1, 2**12 + 2)
-        for j in range(13):
-            for e in {2**j - 1, 2**j + 1}:
-                assert _y_pow_mod(e, *split) == powers[e], e
-                assert _y_pow_mod(-e, *split) == inverses[e], -e
+    def test_matches_long_division(self):
+        # ``_y_pow`` at r = 0 is the pair: every e in -600..600, and e =
+        # +-(2^j +- 1) for j <= 12; the inverse of 1 + y is y
+        d, step, back = [-1, 1, 1], Polynomial((1, 1)), Polynomial((0, 1))
+        for e, expected in enumerate(_step_powers(step, d, 601)):
+            assert _y_pow(e, 0) == expected, e
+        for e, expected in enumerate(_step_powers(back, d, 601)):
+            assert _y_pow(-e, 0) == expected, -e
+        for e, expected in _near_powers_of_two(step, back, d).items():
+            assert _y_pow(e, 0) == expected, e
+        for e, expected in _near_powers_of_two(back, step, d).items():
+            assert _y_pow(-e, 0) == expected, -e
 
     @pytest.mark.parametrize("chi, pairs", [
-        *((_chi(r).coeffs, True) for r in range(0, 41)),
-        # h(1) = -2: refused before any loop runs
+        *((chi, True) for chi in _PAPER_CHI),
+        # h(1) = -2: refused before any power is taken
         ((Polynomial((-3, 0, 1)) * Polynomial((-1, 1)) ** 3).coeffs, False),
     ])
     def test_pair_loop_runs_for_every_generation(self, monkeypatch, chi, pairs):
-        actual, calls = exact_linalg._pow_pair, []
+        # each power reads one Fibonacci pair, at its own exponent
+        r, calls = len(chi) - 3, []
 
-        def spied(e, d0, d1, g0):
-            calls.append((d0, d1, g0))
-            return actual(e, d0, d1, g0)
+        def spy(name):
+            actual = getattr(sequences, name)
 
-        monkeypatch.setattr(exact_linalg, "_pow_pair", spied)
+            def spied(e, *args):
+                calls.append(e)
+                return actual(e, *args)
+
+            monkeypatch.setattr(sequences, name, spied)
+
         if not pairs:
+            _rig_weights(monkeypatch, chi)
+            spy("_y_pow")
             with pytest.raises(ValueError, match="^the power kernel needs"):
-                _shift_chi(chi)
+                hyperfib(r, 10, Strategy.MATRIX_POWER)
+            assert calls == []
             return
-        split = _shift_chi(chi)
-        exponents = [0, 1, 2, 7, 600, 20001] + ([-1, -600, -20001] if chi[0] in (1, -1) else [])
+        spy("_fib_pair")
+        exponents = [0, 1, 2, 7, 600, 20001, -1, -600, -20001]
         for e in exponents:
-            _y_pow_mod(e, *split)
-        assert calls == [(-1, 1, 0)] * len(exponents)
+            _y_pow(e, r)
+        # a negative e reads the pair at -e - 1 and flips its signs
+        assert calls == [m for e in exponents for m in ([e, -e - 1] if e < 0 else [e])]
 
 
 def _x_minus(matrix):

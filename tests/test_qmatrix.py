@@ -137,7 +137,7 @@ def _x_basis_terms(r, n, count):
     """F_r(n..n+count-1) as sum p_i F_r(i+j), p = x^n mod chi, in powers of x."""
     k = r + 2
     run = sequence(r).terms(0, 3 * k - 2)
-    p = _x_pow_mod(n, tuple(-q for q in build_q(r).q) + (1,))
+    p = _x_pow_mod(n, r)
     return [sum(c * run[i + j] for i, c in enumerate(p)) for j in range(count)]
 
 
