@@ -594,13 +594,17 @@ class TestPowPair:
     """(1 + y)^e mod y^2 + y - 1 is the Fibonacci pair F(e+1) + F(e) y."""
 
     def test_matches_long_division(self):
-        # ``_y_pow`` at r = 0 is the pair: every e in -600..600, and e =
-        # +-(2^j +- 1) for j <= 12; the inverse of 1 + y is y
+        # ``_y_pow`` at r = 0 is the pair, at every e in -600..600; the inverse of 1 + y is y
         d, step, back = [-1, 1, 1], Polynomial((1, 1)), Polynomial((0, 1))
         for e, expected in enumerate(_step_powers(step, d, 601)):
             assert _y_pow(e, 0) == expected, e
         for e, expected in enumerate(_step_powers(back, d, 601)):
             assert _y_pow(-e, 0) == expected, -e
+
+    @pytest.mark.parametrize("d0, d1", [(-1, 1)])   # y^2 + y - 1, the Fibonacci cofactor
+    def test_around_powers_of_two(self, d0, d1):
+        # e = +-(2^j +- 1), j <= 12: a run of 0 bits ending in a 1, and a run of 1 bits
+        d, step, back = [d0, d1, 1], Polynomial((1, 1)), Polynomial((0, 1))
         for e, expected in _near_powers_of_two(step, back, d).items():
             assert _y_pow(e, 0) == expected, e
         for e, expected in _near_powers_of_two(back, step, d).items():
