@@ -304,15 +304,3 @@ def char_poly(a: IntMatrix) -> Polynomial:
             am = [[sum(map(mul, row, col)) for col in cols] for row in am]
     return Polynomial(tuple(coeffs))
 
-
-def _shift(c: Sequence[int]) -> list[int]:
-    """Coefficients of c(x + 1), by repeated synthetic division by x - 1.
-
-    A Taylor shift (J. von zur Gathen and J. Gerhard, ISSAC 1997).
-    """
-    a = list(c)
-    for i in range(len(a) - 1):
-        t = a[-1]
-        for j in range(len(a) - 2, i - 1, -1):
-            t = a[j] = a[j] + t
-    return a

@@ -13,7 +13,7 @@ forms.  Powers Q^n, as sums of powers of Q - I (x^n mod the characteristic
 polynomial, in powers of x - 1), give the windows at any index n:
 ``reconstruct`` reads them through the matpow term route of ``sequences``,
 which holds the weights, the check that they give the paper's
-characteristic polynomial, the differences they weight and the power itself.
+characteristic polynomial, the run's differences and the power weighting them.
 """
 
 from __future__ import annotations

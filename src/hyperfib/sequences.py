@@ -38,13 +38,13 @@ takes its r columns anew, no table of them is kept, and a full block costs
 O(r) products at every r.  The prefix strategy is r lazy running sums of F.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
-recurrence of order r+2: ``_weights`` back-substitutes its weights q from
-the run at index 0, ``_power_setup`` checks that they give the paper's chi
-and takes that run's forward differences, and ``_power_terms`` weights the
-differences by p = (1 + y)^n mod chi(1 + y), y = x - 1.  In powers of y,
-chi is y^r (y^2 + y - 1), so ``_y_pow`` joins the binomials C(n, 0..r-1)
+recurrence of order r+2: ``_power_setup`` takes the run at index 0 from
+the walk, so no term route calls the closed form, checks that the weights
+q that ``_weights`` back-substitutes from it give ``_chi``, the paper's
+(x^2-x-1)(x-1)^r, and takes the run's forward differences, which
+``_power_terms`` weights by p = (1 + y)^n mod chi(1 + y), y = x - 1.  In
+powers of y, chi is y^r (y^2 + y - 1), so ``_y_pow`` joins C(n, 0..r-1)
 to the Fibonacci pair F(n+1) + F(n) y by the Chinese remainder theorem.
-``_chi`` is the paper's form of the same polynomial, (x^2-x-1)(x-1)^r.
 The companion matrix, the Hankel windows and the verification suites all
 build on this module; it imports only ``exact_linalg``.  All arithmetic is
 plain Python int, so results are exact at any size.
@@ -59,7 +59,7 @@ from functools import cache
 from itertools import accumulate, count, islice
 from operator import add, mul, sub
 
-from .exact_linalg import Polynomial, _shift
+from .exact_linalg import Polynomial
 
 
 class Strategy(Enum):
@@ -273,8 +273,11 @@ def _recurrence(r: int, n: int) -> int:
 
 
 def _chi(r: int) -> Polynomial:
-    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r."""
-    return Polynomial((-1, -1, 1)) * Polynomial((-1, 1)) ** r
+    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r,
+    with (x - 1)^r read off the binomials C(r, 0..r) in alternating signs.
+    """
+    row = _binomials(r, r + 1)
+    return Polynomial((-1, -1, 1)) * Polynomial([(-1) ** (r - i) * c for i, c in enumerate(row)])
 
 
 def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
@@ -289,17 +292,18 @@ def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
 def _power_setup(r: int, count: int) -> list[list[int]]:
     """The forward differences of F_r(0..max(k+1, k+count-2)), k = r+2.
 
-    Row i is Delta^i F_r(j), i < k, for j < count at least.  The weights q
-    are back-substituted from the run itself (the closed form is seeded only
-    at 0), and chi = x^k - sum q_i x^(i-1) must be the paper's, that is
-    y^r (y^2 + y - 1) in powers of y = x - 1; any other weight row raises
-    ValueError.  All of it depends on r and count alone, so callers that
-    power one generation at many n compute it once.
+    Row i is Delta^i F_r(j), i < k, for j < count at least.  The run comes
+    from ``_walk``, not the closed form, and chi = x^k - sum q_i x^(i-1) of
+    the weights q back-substituted from it must be ``_chi(r)``; any other
+    weight row raises ValueError.  All of it depends on r and count alone,
+    so callers that power one generation at many n compute it once.
     """
+    if r < 0:
+        raise ValueError("generation must be >= 0")
     k = r + 2
-    run = sequence(r).terms(0, max(k + 2, k + count - 1))
+    run = list(islice(_walk(r, 1), max(k + 2, k + count - 1)))
     chi = tuple(-x for x in _weights(run, k)) + (1,)
-    if _shift(chi) != [0] * r + [-1, 1, 1]:
+    if chi != _chi(r).coeffs:
         raise ValueError("the power kernel needs chi = (x^2 - x - 1)(x - 1)^r, "
                          f"not {Polynomial(chi)}")
     diffs = [run]

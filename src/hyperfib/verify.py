@@ -8,8 +8,8 @@ where a suite shares work between cases:
   generation and read all of their determinants from
   ``cassini._run_dets``.
 - crosscheck walks the prefix and recurrence routes once per generation,
-  keeping only the checked indices, and takes matpow's shifted chi and
-  differences once per generation; each matpow case still computes its
+  keeping only the checked indices, and checks matpow's weights and takes
+  its differences once per generation; each matpow case still computes its
   own power (1 + y)^n mod chi(1 + y).  The recurrence's end cases (n_max,
   and n_min below 0) are read from ``_recurrence``, which maps the full
   blocks of its walk, so the block maps are checked too.

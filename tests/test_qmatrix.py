@@ -88,6 +88,11 @@ class TestReconstruct:
     def test_negative_index(self):
         assert reconstruct(2, -3).entries[0] == 1   # F(-3) of generation 2
 
+    @pytest.mark.parametrize("r", [-1, -2, -5])
+    def test_rejects_negative_generation(self, r):
+        with pytest.raises(ValueError, match="^generation must be >= 0$"):
+            reconstruct(r, 5)
+
     @pytest.mark.parametrize("r", range(0, 5))
     def test_equals_direct_window(self, r):
         for n in range(-10, 41):
@@ -104,7 +109,9 @@ class TestReconstruct:
     @pytest.mark.parametrize("r", [0, 1, 5, 12])
     @pytest.mark.parametrize("n", [10**4, -10**4])
     def test_reads_the_closed_form_only_at_zero(self, monkeypatch, r, n):
-        # so matpow stays an oracle independent of the closed form at n
+        # matpow takes its run at 0 from the recurrence walk and reads no
+        # closed form at all, so it stays an oracle independent of it;
+        # build_q still seeds its run at 0 from the closed form
         seeds = []
         actual = HyperfibSequence._seed
 
@@ -114,10 +121,11 @@ class TestReconstruct:
 
         monkeypatch.setattr(HyperfibSequence, "_seed", recorded)
         window = reconstruct(r, n)
-        assert seeds and set(seeds) == {0}
-        seeds.clear()
+        assert seeds == []
         value = hyperfib(r, n, Strategy.MATRIX_POWER)
-        assert seeds and set(seeds) == {0}
+        assert seeds == []
+        build_q(r)
+        assert seeds == [0]
         monkeypatch.undo()
         assert window == build_window(r + 2, n, r)
         assert value == sequence(r).term(n)
