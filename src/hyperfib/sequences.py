@@ -24,18 +24,20 @@ recurrence strategy walks both signs of n the same way: W(j) = F_r(j), from
 W(0), W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0,
 by its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  One endless
 walk yields W(0), W(1), ... a step at a time; F_r(n) takes from it only the
-first (steps mod 512) steps and crosses each full block of 512 steps after
-them by a map.  Across a block each term is a + s: the big part a takes only
-the plain Fibonacci step (or its backward form), one fixed linear map over
-the block, walked once (four products by numbers of about 355 bits), and the
-small part s takes the block's corrections from 0.  By Vandermonde's
+first (steps mod 128) steps and crosses the rest in one block of 2^j * 128
+steps for each set bit j of steps // 128, lowest first.  Across a block each
+term is a + s: the big part a takes only the plain Fibonacci step (or its
+backward form), one fixed linear map over the block, and the small part s
+takes the block's corrections from 0.  Each map is the square of the one a
+size down, as fast doubling squares the Fibonacci pair.  By Vandermonde's
 identity the correction at step i of a block from step j, C(r+j+i, r-1), is
 sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) = sum_k C(-1-i, k) *
-C(r-j, r-1-k)).  So across a full block the small pair moves by a sum of r
+C(r-j, r-1-k)).  So across a block the small pair moves by a sum of r
 binomials C(r+j, .) or C(r-j, .) times column pairs, each one O(1) step from
 the one before, by the form F(n+2) - 1 of the sum of F(0..n), so a walk
-takes its r columns anew, no table of them is kept, and a full block costs
-O(r) products at every r.  The prefix strategy is r lazy running sums of F.
+takes the r columns of each block size anew, no table of them is kept, and
+a block costs O(r) products at every r.  The prefix strategy is r lazy
+running sums of F.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_power_setup`` takes the run at index 0 from
@@ -185,7 +187,7 @@ def _plain_walk(sign: int) -> Iterator[int]:
         a, b = b, op(a, b)
 
 
-_FOLD = 512   # steps in each block of _recurrence's walk
+_FOLD = 128   # steps in the smallest block of _recurrence's walk
 
 
 @cache
@@ -193,30 +195,32 @@ def _plain(sign: int) -> tuple[int, int, int]:
     # g(_FOLD-1), g(_FOLD), g(_FOLD+1), with g(0), g(1) = 0, 1 and
     # g(m+2) = g(m) + sign*g(m+1): m plain steps a, b = b, a + sign*b take
     # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); read off
-    # _plain_walk, so no closed form is called
+    # _plain_walk, so no closed form is called; _recurrence squares it
     return tuple(islice(_plain_walk(sign), _FOLD, _FOLD + 3))
 
 
-def _columns(sign: int, r: int) -> tuple[list[int], list[int]]:
-    # (U_i), (V_i) for i < r: the pair that _FOLD steps of the walk's own
+def _columns(sign: int, r: int, size: int,
+             plain: tuple[int, int, int]) -> tuple[list[int], list[int]]:
+    # (U_i), (V_i) for i < r: the pair that size steps of the walk's own
     # step, s, t = t, s + sign*(t + b), take from (0, 0) when step j adds
-    # b = C(j, i) forward or C(-1-j, i) backward.  A correction b_j reaches
-    # the block's end as sign * b_j * (g(_FOLD-1-j), g(_FOLD-j)), so with
-    # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(_FOLD-1) and V_i = sign *
-    # h_i(_FOLD).  The b_j have generating function x^i / (1-x)^(i+1)
+    # b = C(j, i) forward or C(-1-j, i) backward; plain is the block's map,
+    # (g(size-1), g(size), g(size+1)).  A correction b_j reaches the
+    # block's end as sign * b_j * (g(size-1-j), g(size-j)), so with
+    # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(size-1) and V_i = sign *
+    # h_i(size).  The b_j have generating function x^i / (1-x)^(i+1)
     # forward and (-1)^i / (1-x)^(i+1) backward, so h_i is the running sum
     # of h_(i-1) before N forward and minus it up to N backward, from
     # h_(-1)(N) = g(N+1) forward and -g(N) backward; and as g has generating
     # function x / (1 - sign*x - x^2), h_i(N) = h_(i-1)(N+1) - C(N+1, i)
     # forward and h_(i-1)(N-1) + C(-N, i) backward, the form that
-    # sum_{k<=n} F(k) = F(n+2) - 1 takes.  So at N = _FOLD each column is
-    # one step p, q = q - c, p + q - c, c = C(sign*_FOLD, i), from the one
-    # before: (p, q) is (U_i, V_i) forward, from (g(_FOLD), g(_FOLD+1)),
-    # and (V_i, U_i) backward, from (g(_FOLD), g(_FOLD-1))
-    x0, y0, y1 = _plain(sign)
+    # sum_{k<=n} F(k) = F(n+2) - 1 takes.  So at N = size each column is
+    # one step p, q = q - c, p + q - c, c = C(sign*size, i), from the one
+    # before: (p, q) is (U_i, V_i) forward, from (g(size), g(size+1)),
+    # and (V_i, U_i) backward, from (g(size), g(size-1))
+    x0, y0, y1 = plain
     p, q = (y0, y1) if sign > 0 else (y0, x0)
     ps, qs = [], []
-    for c in _binomials(sign * _FOLD, r):
+    for c in _binomials(sign * size, r):
         p, q = q - c, p + q - c
         ps.append(p)
         qs.append(q)
@@ -250,25 +254,32 @@ def _walk(r: int, sign: int) -> Iterator[int]:
 
 def _recurrence(r: int, n: int) -> int:
     # F_r(n) = W(steps) of _walk, steps = n or 1-n, with no closed form
-    # called.  The walk gives W(head), W(head+1), head = steps % _FOLD; each
-    # full block of _FOLD steps after it is one map.  The pair is a + s: the
-    # big part a, b takes the map of _FOLD plain steps, and the small part
-    # s, t the corrections of the block, from 0.  By Vandermonde's identity
-    # the correction at step j+i of a block from step j is sum_k C(i, k) *
-    # C(r+j, r-1-k) forward and sum_k C(-1-i, k) * C(r-j, r-1-k) backward,
-    # so s, t is the r binomials C(r + sign*j, .) times the r columns.  A
-    # walk with a full block takes the columns once, r more steps and
-    # binomials, and each block 2r products
+    # called.  The walk gives W(head), W(head+1), head = steps % _FOLD; the
+    # rest is crossed in one block of 2^j * _FOLD steps for each set bit j
+    # of steps // _FOLD, lowest first, whose map is the j-th square of
+    # _plain's.  The pair is a + s: the big part a, b takes the block's map,
+    # and the small part s, t the corrections of the block, from 0.  By
+    # Vandermonde's identity the correction at step lo+i of a block from
+    # step lo is sum_k C(i, k) * C(r+lo, r-1-k) forward and sum_k
+    # C(-1-i, k) * C(r-lo, r-1-k) backward, so s, t is the r binomials
+    # C(r + sign*lo, .) times the block's r columns.  So a walk takes
+    # O(log n) maps, and each set bit the columns, r binomials and 2r products
     sign, steps = (1, n) if n >= 0 else (-1, 1 - n)
-    head = steps % _FOLD
-    a, b = islice(_walk(r, sign), head, head + 2)
-    if steps >= _FOLD:
-        x0, y0, y1 = _plain(sign)
-        cols = _columns(sign, r)
-        for lo in range(head, steps, _FOLD):
+    blocks, lo = divmod(steps, _FOLD)
+    a, b = islice(_walk(r, sign), lo, lo + 2)
+    size, plain = _FOLD, _plain(sign) if blocks else None
+    while blocks:
+        x0, y0, y1 = plain
+        if blocks & 1:
             row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
-            s, t = (sum(map(mul, row, col)) for col in cols)
+            s, t = (sum(map(mul, row, col)) for col in _columns(sign, r, size, plain))
             a, b = x0 * a + y0 * b + s, y0 * a + y1 * b + t
+            lo += size
+        blocks >>= 1
+        if blocks:
+            # the map of 2*size steps: its square, with g(2*size+1) by g's step
+            x0, y0 = x0 * x0 + y0 * y0, y0 * (x0 + y1)
+            size, plain = 2 * size, (x0, y0, x0 + sign * y0)
     return a
 
 

@@ -675,8 +675,8 @@ class TestVerifyModule:
         # read from _recurrence, which maps it
         actual = sequences._columns
 
-        def rigged(sign, r):
-            ps, qs = actual(sign, r)
+        def rigged(sign, r, size, plain):
+            ps, qs = actual(sign, r, size, plain)
             return [ps[0] + 1, *ps[1:]] if ps else ps, qs
 
         monkeypatch.setattr(sequences, "_columns", rigged)

@@ -193,10 +193,11 @@ class TestWalks:
     )
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 24])
     def test_walks_across_folds(self, r, n):
-        # _recurrence crosses the n or 1 - n steps in blocks of 512, the
-        # partial one first by the walk, then one map per full block; 512,
-        # 1024, -511 and -1023 have no partial block, 513 and -512 one of 1
-        # step, 1535 and -1022 one of 511 steps.  The prefix row is held
+        # _recurrence walks the n or 1 - n steps mod _FOLD = 128 first, then
+        # crosses the rest by one map per set bit of steps // _FOLD; 512,
+        # 1024, -511 and -1023 leave no steps to walk, 513 and -512 one, 1535
+        # and -1022 127, and 1535 crosses blocks of 1, 2 and 8 _FOLD steps.
+        # The prefix row is held
         # against the same walk: at r = 0 it is F(0..n) itself, and at
         # r = 24 a chain of 24 running sums
         _check_walks(r, n)
@@ -224,8 +225,8 @@ class TestWalks:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 199, 200, 260])
     def test_mapped_walks_at_block_edges(self, r, sign):
-        # walks of n or 1 - n steps with no partial block, one of 1 step or
-        # one of 511 steps, up to 40 full blocks; backward, full blocks that
+        # walks of n or 1 - n steps with a head of 0, 1 or _FOLD - 1 steps
+        # and up to 40 blocks of _FOLD steps; backward, blocks that
         # start at step r - 1, r or r + 1, around the singular step of the
         # carried correction, C(0, r-1) -> C(-1, r-1)
         seq = sequence(r)
@@ -259,18 +260,65 @@ class TestWalks:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_columns_are_their_definition(self, sign):
-        # column i is the pair that _FOLD steps s, t = t, s + sign*(t + b_j)
+        # column i is the pair that size steps s, t = t, s + sign*(t + b_j)
         # take from (0, 0), with b_j = C(j, i) forward and C(-1-j, i) =
-        # (-1)^i * C(i+j, i) backward
-        m = 199
-        us, vs = sequences._columns(sign, m)
-        assert len(us) == len(vs) == m
-        for i in range(m):
-            s = t = 0
-            for j in range(_FOLD):
-                b = comb(j, i) if sign > 0 else (-1) ** i * comb(i + j, i)
-                s, t = t, s + sign * (t + b)
-            assert (us[i], vs[i]) == (s, t), i
+        # (-1)^i * C(i+j, i) backward; at _FOLD from _plain's map, at 2 and
+        # 4 times _FOLD from its square and its fourth power, which are the
+        # plain walk's own (g(size-1), g(size), g(size+1))
+        plain = sequences._plain(sign)
+        for size, m in ((_FOLD, 199), (2 * _FOLD, 40), (4 * _FOLD, 40)):
+            assert plain == tuple(islice(sequences._plain_walk(sign), size, size + 3))
+            us, vs = sequences._columns(sign, m, size, plain)
+            assert len(us) == len(vs) == m
+            for i in range(m):
+                s = t = 0
+                for j in range(size):
+                    b = comb(j, i) if sign > 0 else (-1) ** i * comb(i + j, i)
+                    s, t = t, s + sign * (t + b)
+                assert (us[i], vs[i]) == (s, t), (size, i)
+            x0, y0, y1 = plain
+            plain = x0 * x0 + y0 * y0, y0 * (x0 + y1), y0 * y0 + y1 * y1
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_map_per_set_bit(self, monkeypatch, sign):
+        # a walk takes the columns of one block per set bit of steps //
+        # _FOLD, and per block two rows of binomials: the columns' and the
+        # block's start
+        actual_columns, actual_binomials = sequences._columns, sequences._binomials
+        calls = []
+
+        def columns(*args):
+            calls.append("columns")
+            return actual_columns(*args)
+
+        def binomials(*args):
+            calls.append("binomials")
+            return actual_binomials(*args)
+
+        monkeypatch.setattr(sequences, "_columns", columns)
+        monkeypatch.setattr(sequences, "_binomials", binomials)
+        for j in range(9):
+            for d in (-1, 0, 1):
+                n = sign * (2**j * _FOLD + d)
+                steps = n if n >= 0 else 1 - n
+                calls.clear()
+                _recurrence(7, n)
+                maps = bin(steps // _FOLD).count("1")
+                assert calls.count("columns") == maps, n
+                assert calls.count("binomials") == 2 * maps, n
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 60, 200])
+    def test_mapped_walks_at_far_indices(self, r):
+        # walks of 2^j blocks of _FOLD steps and one step less or more, so a
+        # single block, or all j + 1 sizes up to 2^j * _FOLD, or a head of
+        # _FOLD - 1 steps, both signs; and walks of about 10^5 steps
+        seq = sequence(r)
+        ns = {10**5 + d for d in (-1, 0, 1)} | {-(10**5) - d for d in (-1, 0, 1)}
+        for j in range(11):
+            for d in (-1, 0, 1):
+                ns |= {2**j * _FOLD + d, 1 - (2**j * _FOLD + d)}
+        for n in sorted(ns):
+            assert _recurrence(r, n) == seq.term(n), n
 
 
 class TestHyperfibSequence:
