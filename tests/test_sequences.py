@@ -197,9 +197,8 @@ class TestWalks:
         # crosses the rest by one map per set bit of steps // _FOLD; 512,
         # 1024, -511 and -1023 leave no steps to walk, 513 and -512 one, 1535
         # and -1022 127, and 1535 crosses blocks of 1, 2 and 8 _FOLD steps.
-        # The prefix row is held
-        # against the same walk: at r = 0 it is F(0..n) itself, and at
-        # r = 24 a chain of 24 running sums
+        # The prefix row is held against the same walk: at r = 0 it is
+        # F(0..n) itself, and at r = 24 a chain of 24 running sums
         _check_walks(r, n)
 
     def test_prefix_row_holds_a_few_values(self):
@@ -309,9 +308,10 @@ class TestWalks:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 60, 200])
     def test_mapped_walks_at_far_indices(self, r):
-        # walks of 2^j blocks of _FOLD steps and one step less or more, so a
-        # single block, or all j + 1 sizes up to 2^j * _FOLD, or a head of
-        # _FOLD - 1 steps, both signs; and walks of about 10^5 steps
+        # walks of 2^j * _FOLD + d steps, both signs: d = 0 and 1 cross one
+        # block of 2^j * _FOLD steps after a head of d steps, d = -1 a head
+        # of _FOLD - 1 steps and every block size below it; and walks of
+        # about 10^5 steps
         seq = sequence(r)
         ns = {10**5 + d for d in (-1, 0, 1)} | {-(10**5) - d for d in (-1, 0, 1)}
         for j in range(11):
