@@ -73,16 +73,26 @@ class Strategy(Enum):
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) for any integer n, by fast doubling."""
+    """(F_n, F_{n+1}) for any integer n, by fast doubling with two squares.
+
+    Cassini's identity F(k-1) F(k+1) - F(k)^2 = (-1)^k turns the doubling
+    step into F(2k-1) = F(k-1)^2 + F(k)^2 and F(2k+1) = 4 F(k)^2 - F(k-1)^2
+    + 2 (-1)^k, with F(2k) their difference (GMP's form).  Negative n
+    follows the negafibonacci rule F_{-k} = (-1)^(k+1) * F_k.
+    """
     if n < 0:
-        # negafibonacci: F_{-k} = (-1)^(k+1) * F_k
         a, b = _fib_pair(-n - 1)    # F_{-n-1}, F_{-n}
         return (b, -a) if n % 2 else (-b, a)
-    a, b = 0, 1
-    for bit in bin(n)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b    # F_{2k}, F_{2k+1}
+    # F(k), F(k+1) and 2 (-1)^(k+1) at k = 1, the top bit of n, or at k = 0
+    a, b, two = (1, 1, 2) if n else (0, 1, -2)
+    for bit in bin(n)[3:]:
+        # a, b = F(N-1), F(N) at N = k + 1, so F(2k+1) = a^2 + b^2 and
+        # F(2k+3) = 4b^2 - a^2 + two, and F(2k+2), F(2k) are differences
+        a, b = a * a, b * b
         if bit == "1":
-            a, b = b, a + b
+            a, b, two = a + b, 3 * b - 2 * a + two, 2     # F(2k+1), F(2k+2)
+        else:
+            a, b, two = 2 * b - 3 * a + two, a + b, -2    # F(2k), F(2k+1)
     return a, b
 
 
@@ -187,7 +197,7 @@ def _plain_walk(sign: int) -> Iterator[int]:
         a, b = b, op(a, b)
 
 
-_FOLD = 128   # steps in the smallest block of _recurrence's walk
+_FOLD = 16   # steps in the smallest block of _recurrence's walk; a power of 2
 
 
 @cache
@@ -195,7 +205,7 @@ def _plain(sign: int) -> tuple[int, int, int]:
     # g(_FOLD-1), g(_FOLD), g(_FOLD+1), with g(0), g(1) = 0, 1 and
     # g(m+2) = g(m) + sign*g(m+1): m plain steps a, b = b, a + sign*b take
     # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); read off
-    # _plain_walk, so no closed form is called; _recurrence squares it
+    # _plain_walk, so no closed form is called; _recurrence powers it
     return tuple(islice(_plain_walk(sign), _FOLD, _FOLD + 3))
 
 
@@ -203,10 +213,10 @@ def _columns(sign: int, r: int, size: int,
              plain: tuple[int, int, int]) -> tuple[list[int], list[int]]:
     # (U_i), (V_i) for i < r: the pair that size steps of the walk's own
     # step, s, t = t, s + sign*(t + b), take from (0, 0) when step j adds
-    # b = C(j, i) forward or C(-1-j, i) backward; plain is the block's map,
-    # (g(size-1), g(size), g(size+1)).  A correction b_j reaches the
-    # block's end as sign * b_j * (g(size-1-j), g(size-j)), so with
-    # h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(size-1) and V_i = sign *
+    # b = C(j, i) forward or C(-1-j, i) backward; plain is the map of a
+    # block of any length, (g(size-1), g(size), g(size+1)).  A correction
+    # b_j reaches the block's end as sign * b_j * (g(size-1-j), g(size-j)),
+    # so with h_i(N) = sum_j b_j g(N-j), U_i = sign * h_i(size-1) and V_i = sign *
     # h_i(size).  The b_j have generating function x^i / (1-x)^(i+1)
     # forward and (-1)^i / (1-x)^(i+1) backward, so h_i is the running sum
     # of h_(i-1) before N forward and minus it up to N backward, from
@@ -254,41 +264,45 @@ def _walk(r: int, sign: int) -> Iterator[int]:
 
 def _recurrence(r: int, n: int) -> int:
     # F_r(n) = W(steps) of _walk, steps = n or 1-n, with no closed form
-    # called.  The walk gives W(head), W(head+1), head = steps % _FOLD; the
-    # rest is crossed in one block of 2^j * _FOLD steps for each set bit j
-    # of steps // _FOLD, lowest first, whose map is the j-th square of
-    # _plain's.  The pair is a + s: the big part a, b takes the block's map,
-    # and the small part s, t the corrections of the block, from 0.  By
-    # Vandermonde's identity the correction at step lo+i of a block from
-    # step lo is sum_k C(i, k) * C(r+lo, r-1-k) forward and sum_k
-    # C(-1-i, k) * C(r-lo, r-1-k) backward, so s, t is the r binomials
-    # C(r + sign*lo, .) times the block's r columns.  So a walk takes
-    # O(log n) maps, and each set bit the columns, r binomials and 2r products
+    # called.  The walk gives W(lo), W(lo+1), lo = steps % _FOLD; the other
+    # N = steps - lo steps are crossed in one block.  Its map (g(N-1), g(N),
+    # g(N+1)) is _plain's to the power N / _FOLD, taken over its bits from
+    # the top: each bit squares the map of M steps, and a set bit then
+    # multiplies it by _plain's.  Every M is even, so Cassini's g(M-1) g(M+1)
+    # - g(M)^2 = (-1)^M, which holds forward and backward, gives the square
+    # from two squares: g(2M-1) = g(M-1)^2 + g(M)^2 and g(2M+1) = 4 g(M)^2 -
+    # g(M-1)^2 + 2.  The term is a + s: the big part a takes the map, and the
+    # small part s the corrections of the block, from 0.  By Vandermonde's
+    # identity the correction at step lo+i is sum_k C(i, k) * C(r+lo, r-1-k)
+    # forward and sum_k C(-1-i, k) * C(r-lo, r-1-k) backward, so s is the r
+    # binomials C(r + sign*lo, .) times the block's r columns U.  So a walk
+    # takes O(log n) squares and one row of columns
     sign, steps = (1, n) if n >= 0 else (-1, 1 - n)
     blocks, lo = divmod(steps, _FOLD)
     a, b = islice(_walk(r, sign), lo, lo + 2)
-    size, plain = _FOLD, _plain(sign) if blocks else None
-    while blocks:
-        x0, y0, y1 = plain
-        if blocks & 1:
-            row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
-            s, t = (sum(map(mul, row, col)) for col in _columns(sign, r, size, plain))
-            a, b = x0 * a + y0 * b + s, y0 * a + y1 * b + t
-            lo += size
-        blocks >>= 1
-        if blocks:
-            # the map of 2*size steps: its square, with g(2*size+1) by g's step
-            x0, y0 = x0 * x0 + y0 * y0, y0 * (x0 + y1)
-            size, plain = 2 * size, (x0, y0, x0 + sign * y0)
-    return a
+    if not blocks:
+        return a
+    p0, q0, _ = _plain(sign)
+    x0, y0 = p0, q0     # g(M-1), g(M) at M = _FOLD
+    for bit in bin(blocks)[3:]:
+        xx, yy = x0 * x0, y0 * y0
+        x0, y1 = xx + yy, 4 * yy - xx + 2           # g(2M-1), g(2M+1)
+        y0 = sign * (y1 - x0)                       # g(2M), by g's step
+        if bit == "1":
+            x0, y0 = x0 * p0 + y0 * q0, y0 * p0 + y1 * q0    # M + _FOLD steps
+    row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
+    us, _ = _columns(sign, r, steps - lo, (x0, y0, x0 + sign * y0))
+    return x0 * a + y0 * b + sum(map(mul, row, us))
 
 
 def _chi(r: int) -> Polynomial:
     """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r,
     with (x - 1)^r read off the binomials C(r, 0..r) in alternating signs.
     """
-    row = _binomials(r, r + 1)
-    return Polynomial((-1, -1, 1)) * Polynomial([(-1) ** (r - i) * c for i, c in enumerate(row)])
+    row = [(-1) ** (r - i) * c for i, c in enumerate(_binomials(r, r + 1))]
+    # times x^2 - x - 1: coefficient i is row[i-2] - row[i-1] - row[i]
+    return Polynomial([c2 - c1 - c0 for c2, c1, c0 in
+                       zip([0, 0, *row], [0, *row, 0], [*row, 0, 0])])
 
 
 def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
@@ -296,7 +310,7 @@ def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
     q = [0] * (k + 1)   # 1-indexed
     q[k] = f[2]
     for j in range(k - 1, 0, -1):
-        q[j] = f[k + 2 - j] - sum(f[i - j + 1] * q[i] for i in range(j + 1, k + 1))
+        q[j] = f[k + 2 - j] - sum(map(mul, f[2:k - j + 2], q[j + 1:k + 1]))
     return tuple(q[1:])
 
 

@@ -75,9 +75,9 @@ def test_cli_start_up_walks_no_columns():
 
 
 def test_walk_maps_the_same_blocks_cold_and_after_a_longer_walk():
-    # the rows of binomials a walk maps its blocks with depend only on
-    # (r, n): two rows, the columns' and the block's start, for each of the
-    # four set bits of 15 blocks, in a fresh process and again after a walk
+    # the rows of binomials a walk maps its block with depend only on
+    # (r, n): two rows, the columns' and the block's start, for the one
+    # block of 15 * _FOLD steps, in a fresh process and again after a walk
     # of 40 blocks
     script = ("import hyperfib.sequences as s\n"
               "rows, binomials, calls = [], s._binomials, []\n"
@@ -87,7 +87,7 @@ def test_walk_maps_the_same_blocks_cold_and_after_a_longer_walk():
               "    calls.append(rows[:])\n"
               "    rows.clear()\n"
               "print(calls[0] == calls[2], len(calls[0]))\n")
-    assert _fresh("-c", script) == "True 8\n"
+    assert _fresh("-c", script) == "True 2\n"
 
 
 def test_deferred_imports_load_when_used():

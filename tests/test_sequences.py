@@ -46,6 +46,32 @@ class TestFibonacci:
         assert [fibonacci(n) for n in range(0, 3001)] == forward
         assert [fibonacci(n) for n in range(1, -3001, -1)] == backward
 
+    def test_doubling_matches_matrix_powers(self):
+        # [[1, 1], [1, 0]]^n = [[F(n+1), F(n)], [F(n), F(n-1)]], and its
+        # inverse [[0, 1], [1, -1]] for n < 0, powered here by 2 x 2 products,
+        # at n = +-(2^j + d): the doubling loop's runs of 0 and of 1 bits
+        for j in range(17):
+            for d in (-1, 0, 1):
+                for n in (2**j + d, -(2**j + d)):
+                    step = ((1, 1), (1, 0)) if n >= 0 else ((0, 1), (1, -1))
+                    (f1, f0), _ = _matrix_power(step, abs(n))
+                    assert sequences._fib_pair(n) == (f0, f1), n
+
+
+def _matrix_product(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _matrix_power(m, e):
+    """m^e for e >= 0, by binary powering over 2 x 2 products."""
+    result = ((1, 0), (0, 1))
+    while e:
+        if e & 1:
+            result = _matrix_product(result, m)
+        m, e = _matrix_product(m, m), e >> 1
+    return result
+
 
 def _correction(r, n):
     """F(n+2) - F(n+1) - F(n) of generation r, by the closed form per term."""
@@ -193,13 +219,21 @@ class TestWalks:
     )
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 24])
     def test_walks_across_folds(self, r, n):
-        # _recurrence walks the n or 1 - n steps mod _FOLD = 128 first, then
-        # crosses the rest by one map per set bit of steps // _FOLD; 512,
-        # 1024, -511 and -1023 leave no steps to walk, 513 and -512 one, 1535
-        # and -1022 127, and 1535 crosses blocks of 1, 2 and 8 _FOLD steps.
-        # The prefix row is held against the same walk: at r = 0 it is
-        # F(0..n) itself, and at r = 24 a chain of 24 running sums
+        # walks of about 500 to 3000 steps at fixed indices, both signs; the
+        # prefix row is held against the same walk: at r = 0 it is F(0..n)
+        # itself, and at r = 24 a chain of 24 running sums
         _check_walks(r, n)
+
+    @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 24])
+    def test_walks_across_fold_edges(self, r):
+        # _recurrence walks the n or 1 - n steps mod _FOLD first and crosses
+        # the rest in one block: heads of 0, 1 and _FOLD - 1 steps, before
+        # block counts of one set bit (1, 2) and of several (3, 6, 11, 95)
+        for q in (1, 2, 3, 6, 11, 95):
+            for head in (0, 1, _FOLD - 1):
+                steps = q * _FOLD + head
+                for n in (steps, 1 - steps):
+                    _check_walks(r, n)
 
     def test_prefix_row_holds_a_few_values(self):
         # the row F_3(0..30000) of terms up to about 6,300 digits would take
@@ -261,11 +295,14 @@ class TestWalks:
     def test_columns_are_their_definition(self, sign):
         # column i is the pair that size steps s, t = t, s + sign*(t + b_j)
         # take from (0, 0), with b_j = C(j, i) forward and C(-1-j, i) =
-        # (-1)^i * C(i+j, i) backward; at _FOLD from _plain's map, at 2 and
-        # 4 times _FOLD from its square and its fourth power, which are the
-        # plain walk's own (g(size-1), g(size), g(size+1))
-        plain = sequences._plain(sign)
-        for size, m in ((_FOLD, 199), (2 * _FOLD, 40), (4 * _FOLD, 40)):
+        # (-1)^i * C(i+j, i) backward; at q * _FOLD steps, q = 1..7, from
+        # the map of _plain to the power q, by 2 x 2 products here, which is
+        # the plain walk's own (g(size-1), g(size), g(size+1))
+        x0, y0, y1 = sequences._plain(sign)
+        step = block = ((x0, y0), (y0, y1))
+        for q in range(1, 8):
+            size, m = q * _FOLD, 199 if q == 1 else 40
+            plain = block[0][0], block[0][1], block[1][1]
             assert plain == tuple(islice(sequences._plain_walk(sign), size, size + 3))
             us, vs = sequences._columns(sign, m, size, plain)
             assert len(us) == len(vs) == m
@@ -275,14 +312,14 @@ class TestWalks:
                     b = comb(j, i) if sign > 0 else (-1) ** i * comb(i + j, i)
                     s, t = t, s + sign * (t + b)
                 assert (us[i], vs[i]) == (s, t), (size, i)
-            x0, y0, y1 = plain
-            plain = x0 * x0 + y0 * y0, y0 * (x0 + y1), y0 * y0 + y1 * y1
+            block = _matrix_product(block, step)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_one_map_per_set_bit(self, monkeypatch, sign):
-        # a walk takes the columns of one block per set bit of steps //
-        # _FOLD, and per block two rows of binomials: the columns' and the
-        # block's start
+    def test_one_map_per_walk(self, monkeypatch, sign):
+        # a walk of _FOLD steps or more crosses all but its head in one
+        # block: one call for the columns, and two rows of binomials, the
+        # columns' and the block's start, whatever the bits of the block
+        # count; a shorter walk takes none
         actual_columns, actual_binomials = sequences._columns, sequences._binomials
         calls = []
 
@@ -296,15 +333,16 @@ class TestWalks:
 
         monkeypatch.setattr(sequences, "_columns", columns)
         monkeypatch.setattr(sequences, "_binomials", binomials)
-        for j in range(9):
-            for d in (-1, 0, 1):
-                n = sign * (2**j * _FOLD + d)
-                steps = n if n >= 0 else 1 - n
-                calls.clear()
-                _recurrence(7, n)
-                maps = bin(steps // _FOLD).count("1")
-                assert calls.count("columns") == maps, n
-                assert calls.count("binomials") == 2 * maps, n
+        walks = [*range(_FOLD)]
+        walks += [q * _FOLD + head for q in (1, 2, 3, 7, 11, 2**9 - 1, 2**9)
+                  for head in (0, 1, _FOLD - 1)]
+        for steps in walks:
+            n = steps if sign > 0 else 1 - steps
+            calls.clear()
+            _recurrence(7, n)
+            maps = 1 if steps >= _FOLD else 0
+            assert calls.count("columns") == maps, n
+            assert calls.count("binomials") == 2 * maps, n
 
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 60, 200])
     def test_mapped_walks_at_far_indices(self, r):
