@@ -17,27 +17,27 @@ x / ((1 - x - x^2)(1 - x)^r) into partial fractions along it gives
 
 for every integer n, with C the polynomial binomial and F by fast doubling
 (D. Takahashi, "A fast algorithm for computing large Fibonacci numbers",
-IPL 75, 2000).  ``HyperfibSequence`` seeds runs of terms from it and keeps
-no cache.  Three independent evaluation strategies are provided and agree
-wherever they are defined, which the test suite uses as a cross-check.  The
-recurrence strategy walks both signs of n the same way: W(j) = F_r(j), from
-W(0), W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0,
-by its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  One endless
+IPL 75, 2000), two squares a step by Cassini's identity, as GMP does.
+``HyperfibSequence`` seeds runs of terms from it and keeps no cache.  Three
+independent evaluation strategies are provided and agree wherever they are
+defined, which the test suite uses as a cross-check.  The recurrence
+strategy walks both signs of n the same way: W(j) = F_r(j), from W(0),
+W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0, by
+its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  One endless
 walk yields W(0), W(1), ... a step at a time; F_r(n) takes from it only the
-first (steps mod 128) steps and crosses the rest in one block of 2^j * 128
-steps for each set bit j of steps // 128, lowest first.  Across a block each
-term is a + s: the big part a takes only the plain Fibonacci step (or its
-backward form), one fixed linear map over the block, and the small part s
-takes the block's corrections from 0.  Each map is the square of the one a
-size down, as fast doubling squares the Fibonacci pair.  By Vandermonde's
-identity the correction at step i of a block from step j, C(r+j+i, r-1), is
-sum_k C(i, k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) = sum_k C(-1-i, k) *
-C(r-j, r-1-k)).  So across a block the small pair moves by a sum of r
-binomials C(r+j, .) or C(r-j, .) times column pairs, each one O(1) step from
-the one before, by the form F(n+2) - 1 of the sum of F(0..n), so a walk
-takes the r columns of each block size anew, no table of them is kept, and
-a block costs O(r) products at every r.  The prefix strategy is r lazy
-running sums of F.
+first (steps mod 16) steps and crosses the rest in one block.  Across the
+block the term is a + s: the big part a takes only the plain Fibonacci step
+(or its backward form), one fixed linear map over the block, and the small
+part s takes the block's corrections from 0.  The map is the 16-step map to
+the power of the block count, by the walk's own doubling loop, two squares
+a bit, so a walk takes O(log n) products.  By Vandermonde's identity the
+correction at step i of a block from step j, C(r+j+i, r-1), is sum_k C(i,
+k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) = sum_k C(-1-i, k) * C(r-j,
+r-1-k)).  So across the block the small part moves by a sum of r binomials
+C(r+j, .) or C(r-j, .) times columns, each one O(1) step from the one
+before, by the form F(n+2) - 1 of the sum of F(0..n), so a walk takes its
+r columns anew, no table of them is kept, and the block costs O(r)
+products at every r.  The prefix strategy is r lazy running sums of F.
 
 The matpow strategy reads F_r(n) from generation r's homogeneous
 recurrence of order r+2: ``_power_setup`` takes the run at index 0 from
