@@ -14,7 +14,7 @@ The windows themselves are ``exact_linalg.hankel`` of a run of terms.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from operator import mul
 
 from .exact_linalg import IntMatrix, _bareiss, _Record, det, hankel
@@ -111,12 +111,19 @@ def general_cassini(pair: SecondOrderPair, m: int) -> tuple[int, int]:
     return a_cur * b_prev - a_prev * b_cur, rhs
 
 
-def general_cassini_walk(pair: SecondOrderPair, m_max: int) -> Iterator[tuple[int, int]]:
-    """general_cassini(pair, m) for m = 1..m_max, from one walk of the pair."""
+def _cassini_misses(pair: SecondOrderPair, m_max: int) -> list[tuple[int, int, int]]:
+    """(m, *general_cassini(pair, m)) for each m in 1..m_max whose sides differ.
+
+    One walk of the pair serves every m: each m forms its own left side from
+    two products and compares it with the right side, chained by -beta.
+    """
     alpha, beta, a_prev, a_cur, b_prev, b_cur = pair
-    rhs, step = a_cur * b_prev - a_prev * b_cur, -beta
-    for _ in range(m_max):
-        yield a_cur * b_prev - a_prev * b_cur, rhs
+    rhs, step, misses = a_cur * b_prev - a_prev * b_cur, -beta, []
+    for m in range(1, m_max + 1):
+        lhs = a_cur * b_prev - a_prev * b_cur
+        if lhs != rhs:
+            misses.append((m, lhs, rhs))
         rhs *= step
         a_prev, a_cur = a_cur, alpha * a_cur + beta * a_prev
         b_prev, b_cur = b_cur, alpha * b_cur + beta * b_prev
+    return misses

@@ -80,12 +80,10 @@ def _fib_pair(n: int) -> tuple[int, int]:
     + 2 (-1)^k, with F(2k) their difference (GMP's form).  Negative n
     follows the negafibonacci rule F_{-k} = (-1)^(k+1) * F_k.
     """
-    if n < 0:
-        a, b = _fib_pair(-n - 1)    # F_{-n-1}, F_{-n}
-        return (b, -a) if n % 2 else (-b, a)
-    # F(k), F(k+1) and 2 (-1)^(k+1) at k = 1, the top bit of n, or at k = 0
-    a, b, two = (1, 1, 2) if n else (0, 1, -2)
-    for bit in bin(n)[3:]:
+    m = -n - 1 if n < 0 else n    # for n < 0, the pair at m gives this one by signs
+    # F(k), F(k+1) and 2 (-1)^(k+1) at k = 1, the top bit of m, or at k = 0
+    a, b, two = (1, 1, 2) if m else (0, 1, -2)
+    for bit in bin(m)[3:]:
         # a, b = F(N-1), F(N) at N = k + 1, so F(2k+1) = a^2 + b^2 and
         # F(2k+3) = 4b^2 - a^2 + two, and F(2k+2), F(2k) are differences
         a, b = a * a, b * b
@@ -93,6 +91,8 @@ def _fib_pair(n: int) -> tuple[int, int]:
             a, b, two = a + b, 3 * b - 2 * a + two, 2     # F(2k+1), F(2k+2)
         else:
             a, b, two = 2 * b - 3 * a + two, a + b, -2    # F(2k), F(2k+1)
+    if n < 0:   # F_n, F_{n+1} = F_{-m-1}, F_{-m} from F_m, F_{m+1}
+        return (b, -a) if n % 2 else (-b, a)
     return a, b
 
 

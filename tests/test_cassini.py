@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 import hyperfib.cassini as cassini
 from hyperfib.cassini import (
     SecondOrderPair,
+    _cassini_misses,
     _chi,
     _run_dets,
     build_window,
     cassini_det,
     general_cassini,
-    general_cassini_walk,
     hankel,
     predicted_sign,
     shifted_fib_det,
@@ -127,6 +127,21 @@ class TestZeroDet:
                     assert zero_det_check(m, n, r) == 0, (m, n, r)
 
 
+class _OffByOne(int):
+    """An alpha whose products are one too large, so no pair keeps the recurrence."""
+
+    def __mul__(self, other):
+        return int(self) * other + 1
+
+    __rmul__ = __mul__
+
+
+def _sides_that_differ(pair, m_max):
+    """(m, lhs, rhs) for each m in 1..m_max where general_cassini(pair, m) differs."""
+    return [(m, *sides) for m in range(1, m_max + 1)
+            if (sides := general_cassini(pair, m))[0] != sides[1]]
+
+
 class TestGeneralCassini:
     def test_fibonacci_lucas(self):
         pair = SecondOrderPair(alpha=1, beta=1, a0=0, a1=1, b0=2, b1=1)
@@ -145,18 +160,24 @@ class TestGeneralCassini:
         with pytest.raises(ValueError):
             general_cassini(SecondOrderPair(1, 1, 0, 1, 2, 1), 0)
 
-    @pytest.mark.parametrize("pair", [
-        SecondOrderPair(1, 1, 0, 1, 2, 1), SecondOrderPair(3, -2, 1, 4, -5, 0),
-        SecondOrderPair(-2, 0, 7, -1, 2, 3), SecondOrderPair(0, 0, 0, 0, 0, 0)])
-    def test_last_step_of_the_walk(self, pair):
-        walk = list(general_cassini_walk(pair, 40))
-        assert [general_cassini(pair, m) for m in range(1, 41)] == walk
-
     @given(st.builds(SecondOrderPair, *[st.integers(-9, 9)] * 6), st.integers(1, 80))
     @settings(max_examples=100)
-    def test_equals_the_walks_last_item(self, pair, m):
-        *_, last = general_cassini_walk(pair, m)
-        assert general_cassini(pair, m) == last
+    def test_misses_nothing(self, pair, m_max):
+        assert _cassini_misses(pair, m_max) == []
+
+    @pytest.mark.parametrize("pair", [
+        SecondOrderPair(1, 1, 0, 1, 2, 1), SecondOrderPair(3, -2, 1, 4, -5, 0),
+        SecondOrderPair(-2, 0, 7, -1, 2, 3)])
+    def test_misses_where_the_sides_differ(self, pair):
+        pair = pair._replace(alpha=_OffByOne(pair.alpha))
+        misses = _cassini_misses(pair, 40)
+        assert misses == _sides_that_differ(pair, 40) and len(misses) > 30
+
+    @given(st.builds(SecondOrderPair, st.integers(-9, 9).map(_OffByOne), *[st.integers(-9, 9)] * 5),
+           st.integers(1, 40))
+    @settings(max_examples=100)
+    def test_misses_where_the_sides_differ_on_any_pair(self, pair, m_max):
+        assert _cassini_misses(pair, m_max) == _sides_that_differ(pair, m_max)
 
     def test_keeps_only_the_last_pair(self):
         # holding every step would peak at about 2.5 MiB here

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hyperfib.cli import main
 from hyperfib.exact_linalg import IntMatrix, Polynomial, det
 from hyperfib.sequences import Strategy, fibonacci, hyperfib
 from hyperfib.verify import Failure, verify_all
+from test_cassini import _OffByOne, _sides_that_differ
 
 
 def _child_env():
@@ -811,19 +813,44 @@ class TestVerifyModule:
     @given(st.integers(0, 2**64 - 1), st.integers(1, 2), st.integers(-3, 3))
     @settings(max_examples=15, deadline=None)
     def test_fixed_seed_gives_equal_reports(self, seed, r_max, n_min):
-        # the general walk is rigged to fail on pairs with a0 == a1, which
-        # the seed decides, so equal failures mean equal draws and labels
-        actual = verification.general_cassini_walk
+        # the general loop is rigged to miss once more on pairs with a0 > a1,
+        # which the seed decides, so equal failures mean equal draws and labels
+        actual = verification._cassini_misses
 
         def rigged(pair, m_max):
-            for lhs, rhs in actual(pair, m_max):
-                yield lhs + (pair.a0 == pair.a1), rhs
+            return actual(pair, m_max) + [(m_max, pair.a0, pair.a1)] * (pair.a0 > pair.a1)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(verification, "general_cassini_walk", rigged)
+            patch.setattr(verification, "_cassini_misses", rigged)
             first, second = (
                 [(rep.suite, rep.cases, rep.failures)
                  for rep in verify_all(r_max, n_min, n_min + 2, seed=seed)]
                 for _ in range(2))
         assert first == second
         assert sum(cases for _, cases, _ in first) > 10000
+        assert any(suite == "general" and failures for suite, _, failures in first)
+
+    def test_rigged_pairs_report_the_sides_that_differ(self, monkeypatch):
+        # every drawn alpha's products are off by one; the failures are then
+        # the sides of general_cassini, in the order of the draws and of m
+        actual, drawn = verification._draw, []
+
+        def rigged(rng):
+            pair = actual(rng)
+            drawn.append(pair._replace(alpha=_OffByOne(pair.alpha)))
+            return drawn[-1]
+
+        monkeypatch.setattr(verification, "_draw", rigged)
+        [report] = verify_all(1, 0, 1, "general", seed=7)
+        expected = [Failure(f"{pair} m={m}", lhs, rhs)
+                    for pair in drawn for m, lhs, rhs in _sides_that_differ(pair, 50)]
+        assert len(drawn) == 200 and len(expected) > 5000
+        assert (report.cases, report.failures) == (10000, tuple(expected))
+
+    @given(st.integers(0, 2**64 - 1))
+    @settings(max_examples=50)
+    def test_draw_is_six_randints(self, seed):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for _ in range(30):
+            assert verification._draw(drawn) == tuple(reference.randint(-9, 9) for _ in range(6))
+        assert drawn.getstate() == reference.getstate()

@@ -639,8 +639,7 @@ class TestPowPair:
         exponents = [0, 1, 2, 7, 600, 20001, -1, -600, -20001]
         for e in exponents:
             _y_pow(e, r)
-        # a negative e reads the pair at -e - 1 and flips its signs
-        assert calls == [m for e in exponents for m in ([e, -e - 1] if e < 0 else [e])]
+        assert calls == exponents
 
 
 def _x_minus(matrix):
