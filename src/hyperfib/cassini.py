@@ -8,7 +8,10 @@ Cassini identity; for m > r+2 the determinant vanishes identically.  Both
 follow from chi = (x^2-x-1)(x-1)^r (``sequences._chi``) annihilating the
 run of terms, and ``_run_dets`` decides the windows of a run from that
 residual; verify's cassini and zero suites and the CLI's ``det`` read it.
-The windows themselves are ``exact_linalg.hankel`` of a run of terms.
+The library's ``zero_det_check`` decides its one window the same way: it
+puts the residual column first, where Bareiss finds it zero at once.
+``cassini_det`` still eliminates its window raw.  The windows themselves
+are ``exact_linalg.hankel`` of a run of terms.
 """
 
 from __future__ import annotations
@@ -83,10 +86,24 @@ def shifted_fib_det(n: int) -> int:
 
 
 def zero_det_check(m: int, n: int, r: int) -> int:
-    """Determinant of an oversized window (m > r+2); identically zero."""
+    """Determinant of an oversized window (m > r+2); identically zero.
+
+    Decided by the residual, as in ``_run_dets``: with chi = ``_chi(r)`` of
+    degree k = r+2, the unit-triangular column step C_k += sum_(t<k) chi_t C_t
+    leaves e(n+a) in row a of column k.  That column moves to the front, a
+    (k+1)-cycle of sign (-1)^k, and one ``det`` of the result is returned.
+    Where chi annihilates the window's terms that column is zero, so Bareiss
+    finds no pivot in it and stops at once.  The value is exact for any
+    window: the step is unimodular and the permutation signed.
+    """
     if m <= r + 2:
         raise ValueError("oversized-window statement requires m > r + 2")
-    return det(build_window(m, n, r))
+    window = build_window(m, n, r)   # refuses r < 0 before _chi runs
+    k, chi = r + 2, _chi(r).coeffs
+    entries = []
+    for row in window.to_rows():
+        entries += [sum(map(mul, chi, row)), *row[:k], *row[k + 1:]]
+    return (-1) ** k * det(IntMatrix(m, entries))
 
 
 class SecondOrderPair(_Record, namedtuple("SecondOrderPair", "alpha beta a0 a1 b0 b1")):

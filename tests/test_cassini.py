@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -18,7 +19,8 @@ from hyperfib.cassini import (
     shifted_fib_det,
     zero_det_check,
 )
-from hyperfib.exact_linalg import det
+from hyperfib.cli import main
+from hyperfib.exact_linalg import IntMatrix, _bareiss, det
 from hyperfib.qmatrix import build_q, reconstruct
 from hyperfib.sequences import fibonacci, hyperfib, sequence
 
@@ -125,6 +127,94 @@ class TestZeroDet:
             for m in range(r + 3, r + 6):
                 for n in range(-4, 11):
                     assert zero_det_check(m, n, r) == 0, (m, n, r)
+
+    @given(st.integers(0, 8), st.integers(3, 6), st.integers(-60, 60))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_raw_elimination(self, r, extra, n):
+        m = r + extra
+        assert zero_det_check(m, n, r) == _bareiss(build_window(m, n, r).to_rows())
+
+    @pytest.mark.parametrize("r", range(0, 5))
+    @pytest.mark.parametrize("n", [-9, 0, 7])
+    def test_perturbed_window_equals_raw_elimination(self, r, n):
+        # one entry off raises the rank of the (r+3)-window, of rank r+2, to
+        # r+3: its det is then delta * c * chi_i * chi_j for the entry (i, j)
+        # and some c != 0, nonzero at the corners, where chi_0 = -+1 and
+        # chi_(r+2) = 1; larger windows stay at rank < m
+        for m in range(r + 3, r + 5):
+            true = build_window(m, n, r)
+            for p in range(m * m):
+                entries = list(true.entries)
+                entries[p] += 3
+                bad = IntMatrix(m, entries)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(cassini, "build_window", lambda *args: bad)
+                    value = zero_det_check(m, n, r)
+                assert value == _bareiss(bad.to_rows()), (m, p)
+                if m <= 6:
+                    assert value == det(bad, method="cofactor"), (m, p)
+                if m == r + 3 and p in (0, m - 1, m * m - m, m * m - 1):
+                    assert value != 0, (m, p)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_window_equals_raw_elimination(self, data):
+        # exact off the identity too: the step is unimodular, the move signed
+        r = data.draw(st.integers(0, 6))
+        m = data.draw(st.integers(r + 3, r + 6))
+        window = IntMatrix(m, data.draw(st.lists(st.integers(-9, 9), min_size=m * m,
+                                                 max_size=m * m)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cassini, "build_window", lambda *args: window)
+            assert zero_det_check(m, 0, r) == _bareiss(window.to_rows())
+
+    def test_true_window_has_a_zero_first_column(self):
+        # so Bareiss finds no pivot in column 0 and stops before any product
+        seen, windows = [], []
+
+        def spy(a):
+            seen.append(a)
+            return det(a)
+
+        def built(*args):
+            windows.append(args)
+            return build_window(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cassini, "det", spy)
+            patch.setattr(cassini, "build_window", built)
+            for r in range(0, 9):
+                for m in range(r + 3, r + 7):
+                    for n in (-3000, -5, 0, 11, 4000):
+                        count = len(seen)
+                        assert zero_det_check(m, n, r) == 0
+                        assert len(seen) == len(windows) == count + 1
+                        assert not any(seen[-1].entries[::m]), (m, n, r)
+
+    @pytest.mark.parametrize("m, n, r", [
+        (17, 10**5, 12), (17, -10**5, 12), (45, 10**4, 40), (45, -10**4, 40)])
+    def test_far_windows(self, capsys, m, n, r):
+        # raw Bareiss takes seconds on each of these, the residual column milliseconds
+        assert zero_det_check(m, n, r) == 0
+        assert _run_dets(sequence(r).terms(n, n + 2 * m - 1), r, [m]) == [[0]]
+        assert main(["det", "--m", str(m), "--n", str(n), "--r", str(r)]) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("m, n, r, message", [
+        (4, 0, 2, "oversized-window statement requires m > r + 2"),
+        (2, 5, 0, "oversized-window statement requires m > r + 2"),
+        (5, 0, -1, "generation must be >= 0"),
+        (1, 3, -3, "generation must be >= 0"),
+        (0, 0, -5, "window size must be >= 1"),
+    ])
+    def test_refusals(self, m, n, r, message):
+        def unreached(r):
+            raise AssertionError("chi built for a refused window")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cassini, "_chi", unreached)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                zero_det_check(m, n, r)
 
 
 class _OffByOne(int):
