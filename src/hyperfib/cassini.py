@@ -45,7 +45,7 @@ def _run_dets(run: Sequence[int], r: int, sizes: Iterable[int]) -> list[list[int
     so the result is exact for any run; only the speed rests on chi
     annihilating it.
     """
-    k, chi = r + 2, _chi(r).coeffs
+    k, chi = r + 2, _chi(r)
     zeros = [0] * (len(run) - k + 1)   # how many e(s), e(s+1), ... are zero in a row
     for s in range(len(run) - k - 1, -1, -1):
         if not sum(map(mul, chi, run[s:s + k + 1])):
@@ -99,7 +99,7 @@ def zero_det_check(m: int, n: int, r: int) -> int:
     if m <= r + 2:
         raise ValueError("oversized-window statement requires m > r + 2")
     window = build_window(m, n, r)   # refuses r < 0 before _chi runs
-    k, chi = r + 2, _chi(r).coeffs
+    k, chi = r + 2, _chi(r)
     entries = []
     for row in window.to_rows():
         entries += [sum(map(mul, chi, row)), *row[:k], *row[k + 1:]]

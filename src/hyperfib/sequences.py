@@ -25,12 +25,13 @@ strategy walks both signs of n the same way: W(j) = F_r(j), from W(0),
 W(1) = 0, 1, steps by the recurrence, and W(j) = F_r(1-j), from 1, 0, by
 its backward reading F(n) = F(n+2) - F(n+1) - C(n+r, r-1).  One endless
 walk yields W(0), W(1), ... a step at a time; F_r(n) takes from it only the
-first (steps mod 16) steps and crosses the rest in one block.  Across the
+first (steps mod 2) steps and crosses the rest in one block.  Across the
 block the term is a + s: the big part a takes only the plain Fibonacci step
 (or its backward form), one fixed linear map over the block, and the small
-part s takes the block's corrections from 0.  The map is the 16-step map to
-the power of the block count, by the walk's own doubling loop, two squares
-a bit, so a walk takes O(log n) products.  By Vandermonde's identity the
+part s takes the block's corrections from 0.  The map starts at the
+identity and takes the bits of half the block's length from the top, by
+the walk's own doubling loop: two squares a bit, then two added steps a
+set bit, so a walk takes O(log n) products.  By Vandermonde's identity the
 correction at step i of a block from step j, C(r+j+i, r-1), is sum_k C(i,
 k) * C(r+j, r-1-k) (backward C(r-1-j-i, r-1) = sum_k C(-1-i, k) * C(r-j,
 r-1-k)).  So across the block the small part moves by a sum of r binomials
@@ -57,7 +58,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterator, Sequence
 from enum import Enum
-from functools import cache
 from itertools import accumulate, count, islice
 from operator import add, mul, sub
 
@@ -181,32 +181,19 @@ def hyperfib(r: int, n: int, strategy: Strategy = Strategy.RECURRENCE) -> int:
 
 def _prefix_row(r: int, n: int) -> Iterator[int]:
     # F_r(0..n), n >= 0, as r lazy running sums of F(0..n): r + 2 values held
-    row = islice(_plain_walk(1), 1, n + 2)
+    row = islice(_plain_walk(), n + 1)
     for _ in range(r):
         row = accumulate(row)
     return row
 
 
-def _plain_walk(sign: int) -> Iterator[int]:
-    # g(-1), g(0), ... without end: g(-1), g(0) = 1, 0, g(m+2) = g(m) +
-    # sign*g(m+1), stepped by add or sub, as a + sign*b would copy b
-    op = add if sign > 0 else sub
-    a, b = 1, 0
+def _plain_walk() -> Iterator[int]:
+    # F(0), F(1), ... without end, by the plain step alone, apart from _walk
+    # so that the prefix oracle calls no generation-r walk
+    a, b = 0, 1
     while True:
         yield a
-        a, b = b, op(a, b)
-
-
-_FOLD = 16   # steps in the smallest block of _recurrence's walk; a power of 2
-
-
-@cache
-def _plain(sign: int) -> tuple[int, int, int]:
-    # g(_FOLD-1), g(_FOLD), g(_FOLD+1), with g(0), g(1) = 0, 1 and
-    # g(m+2) = g(m) + sign*g(m+1): m plain steps a, b = b, a + sign*b take
-    # (a, b) to (g(m-1)*a + g(m)*b, g(m)*a + g(m+1)*b); read off
-    # _plain_walk, so no closed form is called; _recurrence powers it
-    return tuple(islice(_plain_walk(sign), _FOLD, _FOLD + 3))
+        a, b = b, a + b
 
 
 def _columns(sign: int, r: int, size: int,
@@ -264,45 +251,43 @@ def _walk(r: int, sign: int) -> Iterator[int]:
 
 def _recurrence(r: int, n: int) -> int:
     # F_r(n) = W(steps) of _walk, steps = n or 1-n, with no closed form
-    # called.  The walk gives W(lo), W(lo+1), lo = steps % _FOLD; the other
-    # N = steps - lo steps are crossed in one block.  Its map (g(N-1), g(N),
-    # g(N+1)) is _plain's to the power N / _FOLD, taken over its bits from
-    # the top: each bit squares the map of M steps, and a set bit then
-    # multiplies it by _plain's.  Every M is even, so Cassini's g(M-1) g(M+1)
-    # - g(M)^2 = (-1)^M, which holds forward and backward, gives the square
-    # from two squares: g(2M-1) = g(M-1)^2 + g(M)^2 and g(2M+1) = 4 g(M)^2 -
-    # g(M-1)^2 + 2.  The term is a + s: the big part a takes the map, and the
-    # small part s the corrections of the block, from 0.  By Vandermonde's
+    # called.  The walk gives W(lo), W(lo+1), lo = steps % 2; the other
+    # N = steps - lo steps are crossed in one block.  Its map (g(M-1), g(M),
+    # g(M+1)) starts at the identity (1, 0, 1), M = 0, and takes the bits of
+    # N / 2 from the top: each bit squares the map, and a set bit then adds
+    # two plain steps.  Every M is even, so Cassini's g(M-1) g(M+1) - g(M)^2
+    # = (-1)^M, which holds forward and backward, gives the square from two
+    # squares: g(2M-1) = g(M-1)^2 + g(M)^2 and g(2M+1) = 4 g(M)^2 - g(M-1)^2
+    # + 2.  The term is a + s: the big part a takes the map, and the small
+    # part s the corrections of the block, from 0.  By Vandermonde's
     # identity the correction at step lo+i is sum_k C(i, k) * C(r+lo, r-1-k)
     # forward and sum_k C(-1-i, k) * C(r-lo, r-1-k) backward, so s is the r
     # binomials C(r + sign*lo, .) times the block's r columns U.  So a walk
     # takes O(log n) squares and one row of columns
     sign, steps = (1, n) if n >= 0 else (-1, 1 - n)
-    blocks, lo = divmod(steps, _FOLD)
+    half, lo = divmod(steps, 2)
     a, b = islice(_walk(r, sign), lo, lo + 2)
-    if not blocks:
-        return a
-    p0, q0, _ = _plain(sign)
-    x0, y0 = p0, q0     # g(M-1), g(M) at M = _FOLD
-    for bit in bin(blocks)[3:]:
+    x0, y0 = 1, 0       # g(M-1), g(M) at M = 0
+    for bit in bin(half)[2:]:
         xx, yy = x0 * x0, y0 * y0
         x0, y1 = xx + yy, 4 * yy - xx + 2           # g(2M-1), g(2M+1)
         y0 = sign * (y1 - x0)                       # g(2M), by g's step
         if bit == "1":
-            x0, y0 = x0 * p0 + y0 * q0, y0 * p0 + y1 * q0    # M + _FOLD steps
+            x0, y0 = y1, y0 + sign * y1             # g(M+1), g(M+2)
     row = _binomials(r + sign * lo, r)[::-1]    # C(r+sign*lo, r-1-k)
     us, _ = _columns(sign, r, steps - lo, (x0, y0, x0 + sign * y0))
     return x0 * a + y0 * b + sum(map(mul, row, us))
 
 
-def _chi(r: int) -> Polynomial:
-    """The paper's characteristic polynomial of generation r, (x^2-x-1)(x-1)^r,
-    with (x - 1)^r read off the binomials C(r, 0..r) in alternating signs.
+def _chi(r: int) -> tuple[int, ...]:
+    """The coefficients, lowest first, of the paper's characteristic polynomial
+    of generation r, (x^2-x-1)(x-1)^r, with (x - 1)^r read off the binomials
+    C(r, 0..r) in alternating signs.
     """
     row = [(-1) ** (r - i) * c for i, c in enumerate(_binomials(r, r + 1))]
     # times x^2 - x - 1: coefficient i is row[i-2] - row[i-1] - row[i]
-    return Polynomial([c2 - c1 - c0 for c2, c1, c0 in
-                       zip([0, 0, *row], [0, *row, 0], [*row, 0, 0])])
+    return tuple([c2 - c1 - c0 for c2, c1, c0 in
+                  zip([0, 0, *row], [0, *row, 0], [*row, 0, 0])])
 
 
 def _weights(f: Sequence[int], k: int) -> tuple[int, ...]:
@@ -328,7 +313,7 @@ def _power_setup(r: int, count: int) -> list[list[int]]:
     k = r + 2
     run = list(islice(_walk(r, 1), max(k + 2, k + count - 1)))
     chi = tuple(-x for x in _weights(run, k)) + (1,)
-    if chi != _chi(r).coeffs:
+    if chi != _chi(r):
         raise ValueError("the power kernel needs chi = (x^2 - x - 1)(x - 1)^r, "
                          f"not {Polynomial(chi)}")
     diffs = [run]

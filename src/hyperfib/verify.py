@@ -11,8 +11,9 @@ where a suite shares work between cases:
   keeping only the checked indices, and checks matpow's weights and takes
   its differences once per generation; each matpow case still computes its
   own power (1 + y)^n mod chi(1 + y).  The recurrence's end cases (n_max,
-  and n_min below 0) are read from ``_recurrence``, which maps the full
-  blocks of its walk, so the block maps are checked too.
+  and n_min below 0) are read from ``_recurrence``, which crosses all but
+  at most one step of its walk in one block map, so the block maps are
+  checked too.
 - general draws each random pair straight from ``getrandbits`` and walks it
   once for all its window sizes, in one plain loop that keeps only the
   sizes whose two sides differ.
@@ -30,7 +31,7 @@ from collections.abc import Callable, Sequence
 from itertools import islice
 
 from .cassini import SecondOrderPair, _cassini_misses, _run_dets, predicted_sign
-from .exact_linalg import _Record, char_poly, det
+from .exact_linalg import Polynomial, _Record, char_poly, det
 from .qmatrix import build_q
 from .sequences import (Strategy, _chi, _power_setup, _power_terms, _prefix_row, _recurrence,
                         _walk, sequence)
@@ -147,8 +148,8 @@ def _suite_charpoly(r_max, n_min, n_max, rng):
         computed = char_poly(build_q(r).matrix)
         expected = _chi(r)
         cases += 1
-        if computed != expected:
-            failures.append(Failure(f"r={r}", computed, expected))
+        if computed.coeffs != expected:
+            failures.append(Failure(f"r={r}", computed, Polynomial(expected)))
     return cases, failures
 
 

@@ -322,7 +322,7 @@ def _runs(draw, kind):
     k, length = r + 2, 2 * (r + 6) - 1 + draw(st.integers(0, 3))
     if kind == "arbitrary":
         return r, draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
-    chi = _chi(r).coeffs
+    chi = _chi(r)
     run = draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))
     while len(run) < length:
         run.append(-sum(c * x for c, x in zip(chi, run[-k:])))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperfib
+import hyperfib.sequences as sequences
 from hyperfib.cassini import SecondOrderPair
 from hyperfib.cli import main
 from hyperfib.exact_linalg import IntMatrix, Polynomial, _Record
@@ -67,23 +68,23 @@ def test_cli_start_up_skips_heavy_modules():
     assert _fresh("-c", script) == "[]\n"
 
 
-def test_cli_start_up_walks_no_columns():
-    # the plain map every column starts from is walked on demand, not at import
-    script = ("import hyperfib.cli, hyperfib.sequences as s; "
-              "print(s._plain.cache_info().currsize)")
-    assert _fresh("-c", script) == "0\n"
+def test_sequences_keeps_no_function_cache():
+    # every term route computes what it needs per call: no function of the
+    # module is wrapped in a cache that would hold values between calls
+    cached = [name for name, f in vars(sequences).items() if hasattr(f, "cache_info")]
+    assert cached == []
 
 
 def test_walk_maps_the_same_blocks_cold_and_after_a_longer_walk():
     # the rows of binomials a walk maps its block with depend only on
     # (r, n): two rows, the columns' and the block's start, for the one
-    # block of 15 * _FOLD steps, in a fresh process and again after a walk
-    # of 40 blocks
+    # block of a walk of 240 steps, in a fresh process and again after a
+    # walk of 640 steps
     script = ("import hyperfib.sequences as s\n"
               "rows, binomials, calls = [], s._binomials, []\n"
               "s._binomials = lambda x, m: rows.append((x, m)) or binomials(x, m)\n"
-              "for blocks in (15, 40, 15):\n"
-              "    s._recurrence(16, blocks * s._FOLD)\n"
+              "for n in (240, 640, 240):\n"
+              "    s._recurrence(16, n)\n"
               "    calls.append(rows[:])\n"
               "    rows.clear()\n"
               "print(calls[0] == calls[2], len(calls[0]))\n")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import hyperfib.sequences as sequences
 from hyperfib.sequences import (
-    _FOLD,
     HyperfibSequence,
     Strategy,
     _prefix_row,
@@ -61,6 +60,22 @@ class TestFibonacci:
 def _matrix_product(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
                  for i in range(2))
+
+
+def _pair_count_edges(j_max):
+    """Step counts 2^j - 2 .. 2^j + 1, j = 1..j_max: after a head of 0 or 1
+    steps, _recurrence doubles over the bits of steps // 2, which here is
+    2^(j-1) - 1, all ones, or 2^(j-1), a single set bit."""
+    return sorted({2**j + d for j in range(1, j_max + 1) for d in (-2, -1, 0, 1)})
+
+
+def _plain_map(sign, size):
+    """(g(size-1), g(size), g(size+1)) of g(-1), g(0) = 1, 0 and g(m+2) =
+    g(m) + sign*g(m+1), by a plain loop."""
+    x, y = 1, 0
+    for _ in range(size):
+        x, y = y, x + sign * y
+    return x, y, x + sign * y
 
 
 def _matrix_power(m, e):
@@ -226,14 +241,13 @@ class TestWalks:
 
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 24])
     def test_walks_across_fold_edges(self, r):
-        # _recurrence walks the n or 1 - n steps mod _FOLD first and crosses
-        # the rest in one block: heads of 0, 1 and _FOLD - 1 steps, before
-        # block counts of one set bit (1, 2) and of several (3, 6, 11, 95)
-        for q in (1, 2, 3, 6, 11, 95):
-            for head in (0, 1, _FOLD - 1):
-                steps = q * _FOLD + head
-                for n in (steps, 1 - steps):
-                    _check_walks(r, n)
+        # walks of q * 16 + head steps, heads of 0, 1 and 15 steps before
+        # 16-step block counts of one set bit (1, 2) and of several (3, 6,
+        # 11, 95); and the pair-count edges of _recurrence's doubling loop
+        # up to 1025 steps
+        steps = [q * 16 + head for q in (1, 2, 3, 6, 11, 95) for head in (0, 1, 15)]
+        for n in sorted({m for k in steps + _pair_count_edges(10) for m in (k, 1 - k)}):
+            _check_walks(r, n)
 
     def test_prefix_row_holds_a_few_values(self):
         # the row F_3(0..30000) of terms up to about 6,300 digits would take
@@ -258,16 +272,17 @@ class TestWalks:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 199, 200, 260])
     def test_mapped_walks_at_block_edges(self, r, sign):
-        # walks of n or 1 - n steps with a head of 0, 1 or _FOLD - 1 steps
-        # and up to 40 blocks of _FOLD steps; backward, blocks that
-        # start at step r - 1, r or r + 1, around the singular step of the
-        # carried correction, C(0, r-1) -> C(-1, r-1)
+        # walks of n or 1 - n steps 16 * q + d, q <= 40, d = -1, 0, 1; the
+        # pair-count edges of the doubling loop up to 2^16 + 1 steps; and,
+        # backward, blocks that start at step r - 1, r or r + 1, around the
+        # singular step of the carried correction, C(0, r-1) -> C(-1, r-1)
         seq = sequence(r)
-        ns = {sign * (_FOLD * q + d) for q in range(41) for d in (-1, 0, 1)}
+        ns = {sign * (16 * q + d) for q in range(41) for d in (-1, 0, 1)}
+        ns |= {steps if sign > 0 else 1 - steps for steps in _pair_count_edges(16)}
         if sign < 0:
-            ns |= {1 - _FOLD * q - d for q in range(1, 41) for d in (-1, 0, 1)}
-            ns |= {edge - _FOLD * q for edge in (-r, -r - 1, -2, -3) for q in (1, 2)}
-            ns |= {1 - step - _FOLD * q for step in (r - 1, r, r + 1) for q in (1, 2)}
+            ns |= {1 - 16 * q - d for q in range(1, 41) for d in (-1, 0, 1)}
+            ns |= {edge - 16 * q for edge in (-r, -r - 1, -2, -3) for q in (1, 2)}
+            ns |= {1 - step - 16 * q for step in (r - 1, r, r + 1) for q in (1, 2)}
         for n in sorted(ns):
             assert _recurrence(r, n) == seq.term(n), n
 
@@ -280,8 +295,6 @@ class TestWalks:
         def recurrence(*args):
             raise AssertionError("the prefix oracle called the recurrence route")
 
-        # an empty cache, so the plain map is walked here too
-        sequences._plain.cache_clear()
         monkeypatch.setattr(sequences, "_fib_pair", closed_form)
         monkeypatch.setattr(HyperfibSequence, "_seed", closed_form)
         for n, value in expected.items():
@@ -295,15 +308,15 @@ class TestWalks:
     def test_columns_are_their_definition(self, sign):
         # column i is the pair that size steps s, t = t, s + sign*(t + b_j)
         # take from (0, 0), with b_j = C(j, i) forward and C(-1-j, i) =
-        # (-1)^i * C(i+j, i) backward; at q * _FOLD steps, q = 1..7, from
-        # the map of _plain to the power q, by 2 x 2 products here, which is
-        # the plain walk's own (g(size-1), g(size), g(size+1))
-        x0, y0, y1 = sequences._plain(sign)
-        step = block = ((x0, y0), (y0, y1))
-        for q in range(1, 8):
-            size, m = q * _FOLD, 199 if q == 1 else 40
+        # (-1)^i * C(i+j, i) backward; at 2q steps, q = 0..56, from the map
+        # of two steps to the power q, by 2 x 2 products here, which is the
+        # plain loop's (g(size-1), g(size), g(size+1))
+        step = ((1, sign), (sign, 2))
+        block = ((1, 0), (0, 1))
+        for q in range(57):
+            size, m = 2 * q, 199 if q == 8 else 40
             plain = block[0][0], block[0][1], block[1][1]
-            assert plain == tuple(islice(sequences._plain_walk(sign), size, size + 3))
+            assert plain == _plain_map(sign, size)
             us, vs = sequences._columns(sign, m, size, plain)
             assert len(us) == len(vs) == m
             for i in range(m):
@@ -316,10 +329,10 @@ class TestWalks:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_one_map_per_walk(self, monkeypatch, sign):
-        # a walk of _FOLD steps or more crosses all but its head in one
-        # block: one call for the columns, and two rows of binomials, the
-        # columns' and the block's start, whatever the bits of the block
-        # count; a shorter walk takes none
+        # every walk crosses all but its head of 0 or 1 steps in one block,
+        # an empty one at 0 and 1 steps: one call for the columns, and two
+        # rows of binomials, the columns' and the block's start, whatever
+        # the bits of the step count
         actual_columns, actual_binomials = sequences._columns, sequences._binomials
         calls = []
 
@@ -333,28 +346,25 @@ class TestWalks:
 
         monkeypatch.setattr(sequences, "_columns", columns)
         monkeypatch.setattr(sequences, "_binomials", binomials)
-        walks = [*range(_FOLD)]
-        walks += [q * _FOLD + head for q in (1, 2, 3, 7, 11, 2**9 - 1, 2**9)
-                  for head in (0, 1, _FOLD - 1)]
-        for steps in walks:
+        walks = [*range(16)]
+        walks += [q * 16 + head for q in (1, 2, 3, 7, 11, 2**9 - 1, 2**9)
+                  for head in (0, 1, 15)]
+        for steps in walks + _pair_count_edges(12):
             n = steps if sign > 0 else 1 - steps
             calls.clear()
             _recurrence(7, n)
-            maps = 1 if steps >= _FOLD else 0
-            assert calls.count("columns") == maps, n
-            assert calls.count("binomials") == 2 * maps, n
+            assert calls.count("columns") == 1, n
+            assert calls.count("binomials") == 2, n
 
     @pytest.mark.parametrize("r", [0, 1, 2, 7, 16, 60, 200])
     def test_mapped_walks_at_far_indices(self, r):
-        # walks of 2^j * _FOLD + d steps, both signs: d = 0 and 1 cross one
-        # block of 2^j * _FOLD steps after a head of d steps, d = -1 a head
-        # of _FOLD - 1 steps and every block size below it; and walks of
-        # about 10^5 steps
+        # walks of 2^j * 16 + d steps, j <= 10, d = -1, 0, 1; the pair-count
+        # edges of the doubling loop up to 2^16 + 1 steps; and walks of about
+        # 10^5 steps; both signs
         seq = sequence(r)
         ns = {10**5 + d for d in (-1, 0, 1)} | {-(10**5) - d for d in (-1, 0, 1)}
-        for j in range(11):
-            for d in (-1, 0, 1):
-                ns |= {2**j * _FOLD + d, 1 - (2**j * _FOLD + d)}
+        steps = [2**j * 16 + d for j in range(11) for d in (-1, 0, 1)]
+        ns |= {m for k in steps + _pair_count_edges(16) for m in (k, 1 - k)}
         for n in sorted(ns):
             assert _recurrence(r, n) == seq.term(n), n
 
